@@ -66,12 +66,19 @@ class _Perturbed:
         return self.xstar + self.delta * self.vfun(theta)
 
 
-def directional_derivative(model, params, xstar, v, order, settings=None, tau_max=None):
+def directional_derivative(
+    model, params, xstar, v, order, settings=None, tau_max=None, *, all_levels=False
+):
     """Order-j derivative of delta -> F(x* + delta v) at delta = 0.
 
     v must be a real-valued (conjugate-paired) ExpPoly. Order is limited to
     MAX_ORDER; delays perturbed during stenciling must stay in range, which
     surfaces as DelayRangeError.
+
+    With all_levels the top row of the Richardson tableau is returned, shape
+    (richardson_levels, n): entry m is bit for bit the value that
+    richardson_levels = m + 1 gives, so one pass of stencils yields both the
+    estimate and its one-level-coarser consistency check.
     """
     settings = settings or DerivSettings()
     if not (1 <= order <= MAX_ORDER):
@@ -86,33 +93,38 @@ def directional_derivative(model, params, xstar, v, order, settings=None, tau_ma
     if settings.direction_normalization:
         nrm = sup_norm(v, -tau_max, 0.0, _NORM_SAMPLES)
         if nrm == 0.0:
-            return np.zeros(model.n)
+            row = np.zeros((settings.richardson_levels, model.n))
+            return row if all_levels else row[-1]
         scale = nrm
         direction = v * (1.0 / nrm)
-    value = _richardson(
+    row = _richardson_row(
         lambda h: _eval_stencil(model, params, xstar, direction, order, h, tau_max),
         settings.base_step,
         settings.richardson_levels,
-    )
-    return value * scale**order
+    ) * scale**order
+    return row if all_levels else row[-1]
 
 
-def _richardson(estimate, step, levels):
+def _richardson_row(estimate, step, levels):
+    """Top row T[0, m], m < levels, of the tableau over steps step / 2**i."""
     # central stencils have pure h^2 error expansions
     table = [estimate(step / 2**i) for i in range(levels)]
+    row = [table[0]]
     for m in range(1, levels):
         table = [
             (4**m * table[i + 1] - table[i]) / (4**m - 1) for i in range(len(table) - 1)
         ]
-    return table[0]
+        row.append(table[0])
+    return np.array(row)
 
 
 def _real_form(model, params, xstar, directions, settings, tau_max):
-    """Symmetric j-linear form on real ExpPoly directions via polarization."""
+    """Richardson row of the symmetric j-linear form on real ExpPoly
+    directions, via polarization."""
     j = len(directions)
+    total = np.zeros((settings.richardson_levels, model.n))
     if any(w.is_zero for w in directions):
-        return np.zeros(model.n)
-    total = np.zeros(model.n)
+        return total
     # the eps <-> -eps terms are equal, so fix eps_1 = +1 and double
     for eps in itertools.product(*([(1,)] + [(1, -1)] * (j - 1))):
         summed = directions[0]
@@ -120,17 +132,20 @@ def _real_form(model, params, xstar, directions, settings, tau_max):
             summed = combine(1.0, summed, float(e), w)
         sign = 1 if eps.count(-1) % 2 == 0 else -1
         total += sign * directional_derivative(
-            model, params, xstar, summed, j, settings, tau_max=tau_max
+            model, params, xstar, summed, j, settings, tau_max=tau_max, all_levels=True
         )
     return 2.0 * total / (2**j * factorial(j))
 
 
-def multilinear_form(model, params, xstar, directions, settings=None, tau_max=None):
+def multilinear_form(
+    model, params, xstar, directions, settings=None, tau_max=None, *, all_levels=False
+):
     """Symmetric j-linear form F_j(v_1, ..., v_j) for complex ExpPoly directions.
 
     Complex directions are expanded by multilinearity into real/imaginary
     parts (2^j real form evaluations), each real form coming from the
     polarization identity over signed diagonal directional derivatives.
+    all_levels returns the Richardson row as in directional_derivative.
     """
     settings = settings or DerivSettings()
     j = len(directions)
@@ -141,27 +156,22 @@ def multilinear_form(model, params, xstar, directions, settings=None, tau_max=No
     if tau_max is None:
         tau_max = model.resolve_tau_max(params, xstar)
     parts = [(v.real_part(), v.imag_part()) for v in directions]
-    out = np.zeros(model.n, dtype=complex)
+    out = np.zeros((settings.richardson_levels, model.n), dtype=complex)
     for which in itertools.product((0, 1), repeat=j):
         chosen = [parts[i][s] for i, s in enumerate(which)]
         contrib = _real_form(model, params, xstar, chosen, settings, tau_max)
         out += (1j) ** sum(which) * contrib
-    return out
+    return out if all_levels else out[-1]
 
 
 def richardson_discrepancy(model, params, xstar, directions, settings=None, tau_max=None):
-    """|form at (levels) - form at (levels-1 extrapolation removed)|.
+    """|form at (levels) - form at (levels - 1)|, both read off one tableau.
 
-    Used as a smoothness diagnostic: a large gap between the plain and the
-    extrapolated estimates flags a direction on which F is not smooth
-    enough for the requested order.
+    Used as a smoothness diagnostic: a large gap between the extrapolated
+    estimate and the one a level coarser flags a direction on which F is not
+    smooth enough for the requested order. Zero when richardson_levels is 1.
     """
-    settings = settings or DerivSettings()
-    coarse = DerivSettings(
-        base_step=settings.base_step,
-        richardson_levels=max(1, settings.richardson_levels - 1),
-        direction_normalization=settings.direction_normalization,
+    row = multilinear_form(
+        model, params, xstar, directions, settings, tau_max=tau_max, all_levels=True
     )
-    a = multilinear_form(model, params, xstar, directions, settings, tau_max=tau_max)
-    b = multilinear_form(model, params, xstar, directions, coarse, tau_max=tau_max)
-    return float(np.max(np.abs(a - b)))
+    return float(np.max(np.abs(row[-1] - row[max(len(row) - 2, 0)])))

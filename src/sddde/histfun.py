@@ -178,7 +178,14 @@ def sup_norm(f, lo, hi, samples=201):
     """max over a theta grid of the largest component magnitude.
 
     Grid-sampled; adequate for step scaling and test tolerances, not a
-    certified bound.
+    certified bound. Each term is evaluated on the whole grid at once with
+    the arithmetic and term order of :meth:`ExpPoly.eval`, so the result is
+    the per-point maximum bit for bit.
     """
     grid = np.linspace(lo, hi, samples)
-    return max(float(np.max(np.abs(f.eval(t)))) for t in grid)
+    vals = np.zeros((samples, f.dim), dtype=complex)
+    for coef, power, exponent in f.terms:
+        # scalar powers: array ** power rounds differently from theta ** power
+        poly = np.array([t**power for t in grid]) if power else np.ones(samples)
+        vals += coef * poly[:, None] * np.exp(exponent * grid)[:, None]
+    return float(np.max(np.abs(vals)))

@@ -108,21 +108,13 @@ def _canonical_phase(eig):
     )
 
 
-def _g21_bracket(model, params, xstar, eig, h2_20, h2_11, settings):
-    q = eigenfunction(eig)
-    qbar = q.conjugate()
-    f3 = multilinear_form(model, params, xstar, [q, q, qbar], settings)
-    t2 = multilinear_form(model, params, xstar, [qbar, h2_20], settings)
-    t3 = multilinear_form(model, params, xstar, [q, h2_11], settings)
-    return f3 + t2 + t3, (f3, t2, t3)
-
-
 def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None):
     """Full Hopf normal form at an equilibrium with a simple pair near i w.
 
     The cubic bracket is evaluated at the configured Richardson level and
-    re-checked one level down; disagreement beyond the consistency
-    tolerance raises "derivative accuracy insufficient".
+    checked against the value one level coarser, read off the same tableau;
+    disagreement beyond the consistency tolerance raises "derivative
+    accuracy insufficient".
     """
     settings = settings or DerivSettings()
     params = np.asarray(params, dtype=float)
@@ -134,23 +126,25 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None
         eig = _canonical_phase(eig)
     forms = {}
     h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin, forms=forms)
-    bracket, terms = _g21_bracket(model, params, xstar, eig, h2_20, h2_11, settings)
+    q = eigenfunction(eig)
+    qbar = q.conjugate()
+    terms = [
+        multilinear_form(model, params, xstar, dirs, settings, all_levels=True)
+        for dirs in ([q, q, qbar], [qbar, h2_20], [q, h2_11])
+    ]
+    rows = terms[0] + terms[1] + terms[2]
+    bracket = rows[-1]
     if settings.richardson_levels > 1:
-        coarse = DerivSettings(
-            base_step=settings.base_step,
-            richardson_levels=settings.richardson_levels - 1,
-            direction_normalization=settings.direction_normalization,
-        )
-        bracket_coarse, _ = _g21_bracket(model, params, xstar, eig, h2_20, h2_11, coarse)
-        gap = float(np.max(np.abs(bracket - bracket_coarse)))
-        scale = max(float(np.max(np.abs(t))) for t in terms)
+        gap = float(np.max(np.abs(bracket - rows[-2])))
+        scale = max(float(np.max(np.abs(t[-1]))) for t in terms)
         tol = max(
             _FD_CONSISTENCY_REL * float(np.max(np.abs(bracket))),
             1e-8 * (1.0 + scale),
         )
         if gap > tol:
             raise NumericalError(
-                f"derivative accuracy insufficient: Richardson levels disagree by {gap:.2e}"
+                "derivative accuracy insufficient: Richardson levels disagree by "
+                f"{gap:.2e} (tolerance {tol:.2e})"
             )
     g21 = complex(eig.p0 @ bracket)
     L1 = g21.real / (2.0 * eig.omega)
