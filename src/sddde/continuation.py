@@ -469,7 +469,13 @@ def continue_hopf_curve(
     def residual(y):
         return _hopf_residual(model, pvec_base, f1, f2, c_row, y, n)
 
-    def make_point(y, event=None):
+    def curve_l1(y):
+        pv = pvec_base.copy()
+        pv[f1] = y[3 * n + 1]
+        pv[f2] = y[3 * n + 2]
+        return hopf_l1(model, pv, y[:n], y[3 * n], settings=deriv_settings).L1
+
+    def make_point(y, event=None, L1=None):
         res = float(np.max(np.abs(residual(y))))
         q = y[n : 2 * n] + 1j * y[2 * n : 3 * n]
         point = HopfCurvePoint(
@@ -486,7 +492,7 @@ def continue_hopf_curve(
                 "loss of simplicity of the critical pair along the Hopf curve"
             )
         if monitor_l1:
-            point = replace(point, L1=_curve_l1(model, pvec_base, f1, f2, y, n, deriv_settings))
+            point = replace(point, L1=curve_l1(y) if L1 is None else L1)
         return point
 
     points = [make_point(y0)]
@@ -501,7 +507,7 @@ def continue_hopf_curve(
     ys = [y for y, _ in reversed(backward)] + [y0] + [y for y, _ in forward]
 
     if monitor_l1:
-        pts = _locate_l1_zeros(model, residual, make_point, pvec_base, f1, f2, ys, pts, n)
+        pts = _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n)
     return pts
 
 
@@ -565,15 +571,7 @@ def _simplicity_lost(model, pvec_base, f1, f2, y, n):
     return n > 1 and s[-2] < 1e-8 * max(s[0], 1.0)
 
 
-def _curve_l1(model, pvec_base, f1, f2, y, n, deriv_settings):
-    pv = pvec_base.copy()
-    pv[f1] = y[3 * n + 1]
-    pv[f2] = y[3 * n + 2]
-    nf = hopf_l1(model, pv, y[:n], y[3 * n], settings=deriv_settings)
-    return nf.L1
-
-
-def _locate_l1_zeros(model, residual, make_point, pvec_base, f1, f2, ys, pts, n):
+def _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n):
     out = list(pts)
     inserted = 0
     for k in range(len(pts) - 1):
@@ -596,7 +594,7 @@ def _locate_l1_zeros(model, residual, make_point, pvec_base, f1, f2, ys, pts, n)
                 return np.concatenate([residual(y), [tangent @ (y - y_pred)]])
 
             y_t, _, _ = newton(aug, y_pred, tol=1e-10, max_iters=12)
-            l_t = _curve_l1(model, pvec_base, f1, f2, y_t, n, DerivSettings())
+            l_t = curve_l1(y_t)
             if np.sign(l_t) == np.sign(la):
                 ta, la = t, l_t
             else:
@@ -608,6 +606,6 @@ def _locate_l1_zeros(model, residual, make_point, pvec_base, f1, f2, ys, pts, n)
             if dp <= 1e-4:
                 break
         if y_t is not None:
-            out.insert(k + 1 + inserted, make_point(y_t, event="L1_ZERO"))
+            out.insert(k + 1 + inserted, make_point(y_t, event="L1_ZERO", L1=l_t))
             inserted += 1
     return out

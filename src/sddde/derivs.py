@@ -2,11 +2,15 @@
 
 The functional of an sd-DDE is differentiable at an equilibrium along smooth
 exponential-polynomial directions. Order-j derivatives are taken by central
-finite differences in the scalar deviation, Richardson-extrapolated; the
-symmetric j-linear forms are then recovered through the polarization
+finite differences in the scalar deviation, Richardson-extrapolated; one
+pass of stencils gives the whole Richardson row, so the consistency check
+one level coarser costs no further evaluations. Forms in powers of one
+eigenfunction, F_j(q^k, qbar^(j-k)), are phase-sampled along Re(e^{i phi} q);
+general symmetric j-linear forms are recovered through the polarization
 identity, and complex directions are split into real and imaginary parts
 (the functional itself is only defined on real histories, so complex
-perturbations of the state are never taken).
+perturbations of the state are never taken). Every derivative goes through
+directional_derivative.
 """
 
 import itertools
@@ -162,6 +166,34 @@ def multilinear_form(
         contrib = _real_form(model, params, xstar, chosen, settings, tau_max)
         out += (1j) ** sum(which) * contrib
     return out if all_levels else out[-1]
+
+
+def phase_forms(
+    model, params, xstar, q, order, settings=None, tau_max=None, *, all_levels=False
+):
+    """Forms F_j(q^k, qbar^(j-k)), k = 0..j, from j + 1 phase samples.
+
+    g(phi) = D^jF[Re(e^{i phi} q)] is a trigonometric polynomial whose
+    e^{i(2k-j)phi} coefficient is 2^-j C(j,k) F_j(q^k, qbar^(j-k)), and
+    g(phi + pi) = (-1)^j g(phi), so the samples phi_m = m pi/(j+1), m = 0..j,
+    determine every coefficient: F2(q,q) and F2(q,qbar) from 3 directional
+    derivatives, F3(q,q,qbar) from 4. Returns a list indexed by k;
+    all_levels gives Richardson rows as in directional_derivative.
+    """
+    phis = np.pi * np.arange(order + 1) / (order + 1)
+    samples = [
+        directional_derivative(
+            model, params, xstar, (q * np.exp(1j * phi)).real_part(), order, settings,
+            tau_max=tau_max, all_levels=True,
+        )
+        for phi in phis
+    ]
+    forms = []
+    for k in range(order + 1):
+        weights = np.exp(-1j * (2 * k - order) * phis) * (2**order / comb(order, k) / (order + 1))
+        rows = sum(w * g for w, g in zip(weights, samples))
+        forms.append(rows if all_levels else rows[-1])
+    return forms
 
 
 def richardson_discrepancy(model, params, xstar, directions, settings=None, tau_max=None):

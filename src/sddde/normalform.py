@@ -6,9 +6,11 @@ normal-form coefficient
 
     g21 = p0 [ F3 q q qbar + F2 qbar h20 + F2 q h11 ],    L1 = Re(g21)/(2 w),
 
-with criticality subcritical for L1 > 0 and supercritical for L1 < 0. The
-fold coefficient is the quadratic coefficient on the one-dimensional
-center manifold of a simple zero root, a = p0 F2(q, q) / 2.
+with criticality subcritical for L1 > 0 and supercritical for L1 < 0.
+F2(q, q), F2(q, qbar) and F3(q, q, qbar) are phase-sampled along q; the two
+forms on h20 and h11 come from polarization. The fold coefficient is the
+quadratic coefficient on the one-dimensional center manifold of a simple
+zero root, a = p0 F2(q, q) / 2.
 
 The same systems are also exposed through a generic homological-equation
 solver (regular orders solve directly; resonant orders carry a normal-form
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivs import DerivSettings, multilinear_form
+from .derivs import DerivSettings, multilinear_form, phase_forms
 from .errors import DegenerateEigenvalueError, NumericalError, ResonanceError
 from .histfun import ExpPoly
 from .spectral import (
@@ -57,24 +59,16 @@ def _solve_regular(mat, rhs, what):
 def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
     """Order-2 center-manifold coefficients (h2_20, h2_11) as ExpPoly.
 
-    h2_11 is constant, h2_20 a pure exp(2 i w theta) term. Raises
-    ResonanceError when Delta(0) (fold-Hopf) or Delta(2 i w) (1:2
-    resonance) is singular.
+    h2_11 is constant, h2_20 a pure exp(2 i w theta) term. forms, if given,
+    holds precomputed "f2qq" = F2(q, q) and "f2qqbar" = F2(q, qbar);
+    otherwise both are phase-sampled along q. Raises ResonanceError when
+    Delta(0) (fold-Hopf) or Delta(2 i w) (1:2 resonance) is singular.
     """
-    settings = settings or DerivSettings()
     lin = lin or linearize(model, params, xstar)
-    q = eigenfunction(eig)
-    qbar = q.conjugate()
     if forms is None:
-        forms = {}
-    f2qq = forms.get("f2qq")
-    if f2qq is None:
-        f2qq = multilinear_form(model, params, xstar, [q, q], settings)
-        forms["f2qq"] = f2qq
-    f2qqbar = forms.get("f2qqbar")
-    if f2qqbar is None:
-        f2qqbar = multilinear_form(model, params, xstar, [q, qbar], settings)
-        forms["f2qqbar"] = f2qqbar
+        _, f2qqbar, f2qq = phase_forms(model, params, xstar, eigenfunction(eig), 2, settings)
+    else:
+        f2qq, f2qqbar = forms["f2qq"], forms["f2qqbar"]
     h20_coef = _solve_regular(
         char_matrix(lin, 2j * eig.omega),
         f2qq,
@@ -124,13 +118,12 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None
         eig = hopf_eigendata(lin, omega_guess)
     else:
         eig = _canonical_phase(eig)
-    forms = {}
-    h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin, forms=forms)
+    h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin)
     q = eigenfunction(eig)
-    qbar = q.conjugate()
     terms = [
-        multilinear_form(model, params, xstar, dirs, settings, all_levels=True)
-        for dirs in ([q, q, qbar], [qbar, h2_20], [q, h2_11])
+        phase_forms(model, params, xstar, q, 3, settings, all_levels=True)[2],
+        multilinear_form(model, params, xstar, [q.conjugate(), h2_20], settings, all_levels=True),
+        multilinear_form(model, params, xstar, [q, h2_11], settings, all_levels=True),
     ]
     rows = terms[0] + terms[1] + terms[2]
     bracket = rows[-1]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import sddde.continuation
 from sddde import (
     ConvergenceError,
+    DerivSettings,
     StepSettings,
     continue_branch,
     continue_hopf_curve,
@@ -197,6 +199,33 @@ class TestHopfCurve:
         assert events[0].residual <= 1e-8
         signs = [np.sign(pt.L1) for pt in pts if pt.event is None and pt.L1 is not None]
         assert len(set(signs)) == 2
+
+    def test_l1_monitor_honours_deriv_settings(self, poscontrol_model, monkeypatch):
+        calls = []
+
+        def recording(model, params, xstar, omega_guess, settings=None, **kwargs):
+            calls.append((tuple(params), settings))
+            return hopf_l1(model, params, xstar, omega_guess, settings=settings, **kwargs)
+
+        monkeypatch.setattr(sddde.continuation, "hopf_l1", recording)
+        settings = DerivSettings(base_step=8e-3)
+        asg = {"tau0": 1.03, "s0": 5.8, "k": 1.0, "c": 2.0, "gamma": 1.0}
+        pts = continue_hopf_curve(
+            poscontrol_model,
+            asg,
+            ("tau0", "s0"),
+            np.array([5.8, 5.8]),
+            omega_guess=np.pi / (2 * 1.03 + 5.8),
+            step=StepSettings(initial=0.25, max_points=2, max_step=0.4),
+            monitor_l1=True,
+            deriv_settings=settings,
+        )
+        (event,) = [pt for pt in pts if pt.event == "L1_ZERO"]
+        assert len(calls) > len(pts)  # the secant refinement ran
+        assert all(s is settings for _, s in calls)
+        # the event reuses the secant's L1 instead of computing it again
+        i, j = (poscontrol_model.param_names.index(name) for name in ("tau0", "s0"))
+        assert sum(1 for p, _ in calls if (p[i], p[j]) == event.params) == 1
 
     def test_representation_invariance_constant_delays(self):
         # the same constant-delay model, once literal and once written as a

@@ -16,7 +16,7 @@ from sddde import (
     poly_multiply,
     sup_norm,
 )
-from sddde.derivs import richardson_discrepancy
+from sddde.derivs import phase_forms, richardson_discrepancy
 
 PI_2 = np.pi / 2
 
@@ -28,6 +28,14 @@ def scalar_setup(scalar_model):
     lin = linearize(scalar_model, params, xstar)
     eig = hopf_eigendata(lin, 1.0)
     return scalar_model, params, xstar, lin, eig
+
+
+@pytest.fixture(scope="module")
+def poscontrol_setup(poscontrol_model, poscontrol_ref):
+    params = poscontrol_model.params_from(poscontrol_ref)
+    xstar = np.array([4.0, 4.0])
+    eig = hopf_eigendata(linearize(poscontrol_model, params, xstar), np.pi / 6)
+    return poscontrol_model, params, xstar, eig
 
 
 def two_re_exp_i():
@@ -129,6 +137,74 @@ class TestMultilinearForm:
         q = eigenfunction(eig)
         gap = richardson_discrepancy(model, params, xstar, [q, q, q.conjugate()])
         assert gap <= 1e-4 * 1.0  # |F3 q q qbar| = 1
+
+
+class TestRichardsonTableau:
+    def test_row_entries_equal_separate_runs(self, scalar_setup):
+        model, params, xstar, _, eig = scalar_setup
+        v = combine(1.0, eigenfunction(eig).real_part(), 0.3, two_re_exp_i().derivative())
+        for order in (2, 3):
+            row = directional_derivative(
+                model, params, xstar, v, order, DerivSettings(richardson_levels=3), all_levels=True
+            )
+            assert row.shape == (3, model.n)
+            for m in range(3):
+                alone = directional_derivative(
+                    model, params, xstar, v, order, DerivSettings(richardson_levels=m + 1)
+                )
+                assert np.array_equal(row[m], alone)
+
+    def test_form_row_coarse_entry_equals_separate_run(self, scalar_setup):
+        model, params, xstar, _, eig = scalar_setup
+        q = eigenfunction(eig)
+        dirs = [q, q, q.conjugate()]
+        row = multilinear_form(model, params, xstar, dirs, all_levels=True)
+        coarse = multilinear_form(model, params, xstar, dirs, DerivSettings(richardson_levels=1))
+        assert np.array_equal(row[-2], coarse)
+        assert np.array_equal(row[-1], multilinear_form(model, params, xstar, dirs))
+
+
+class TestPhaseSampling:
+    """F_j(q^k, qbar^(j-k)) from samples along Re(e^{i phi} q)."""
+
+    @staticmethod
+    def forms(model, params, xstar, q):
+        _, f2qqbar, f2qq = phase_forms(model, params, xstar, q, 2)
+        return {"f2qq": f2qq, "f2qqbar": f2qqbar, "f3": phase_forms(model, params, xstar, q, 3)[2]}
+
+    @pytest.mark.parametrize("path", ["phase", "polarization"])
+    def test_f3_exact_on_scalar_model(self, scalar_setup, path):
+        # F(x* + v) = -v(-pi/2 + v(0)), so F3(u, v, w) = -[u''(t*) v(0) w(0) + (2 more)]
+        # at t* = -pi/2; for (q, q, qbar) that is -(a^2 qbar''(t*) + 2|a|^2 q''(t*)), a = q(0)
+        model, params, xstar, _, eig = scalar_setup
+        q = eigenfunction(eig)
+        a = q.eval(0.0)[0]
+        q2 = q.derivative(2).eval(-PI_2)[0]
+        exact = -(a**2 * np.conj(q2) + 2 * abs(a) ** 2 * q2)
+        assert exact == pytest.approx(-1j, abs=1e-9)  # q = e^{i theta} up to eigensolver error
+        if path == "phase":
+            got = self.forms(model, params, xstar, q)["f3"]
+        else:
+            got = multilinear_form(model, params, xstar, [q, q, q.conjugate()])
+        assert abs(got[0] - exact) <= 1e-6
+
+    @pytest.mark.parametrize("which", ["scalar", "poscontrol"])
+    def test_agrees_with_polarization(self, scalar_setup, poscontrol_setup, which):
+        if which == "scalar":
+            model, params, xstar, _, eig = scalar_setup
+        else:
+            model, params, xstar, eig = poscontrol_setup
+        q = eigenfunction(eig)
+        qbar = q.conjugate()
+        sampled = self.forms(model, params, xstar, q)
+        for name, dirs in (("f2qq", [q, q]), ("f2qqbar", [q, qbar]), ("f3", [q, q, qbar])):
+            polar = multilinear_form(model, params, xstar, dirs)
+            assert np.max(np.abs(sampled[name] - polar)) <= 1e-6 * (1.0 + np.max(np.abs(polar)))
+
+    def test_order_cap(self, scalar_setup):
+        model, params, xstar, _, eig = scalar_setup
+        with pytest.raises(SdddeError, match="order"):
+            phase_forms(model, params, xstar, eigenfunction(eig), 6)
 
 
 def delay_sum_points(frozen, order):

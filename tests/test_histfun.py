@@ -140,6 +140,18 @@ class TestProperties:
         rhs = a * f.eval(theta) + b * g.eval(theta)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
+    @given(
+        f=st.one_of(exppoly_st(), exppoly_st(dim=2, max_terms=4)),
+        lo=st.floats(-12.0, -0.1),
+        samples=st.sampled_from([2, 61, 201]),
+    )
+    @settings(max_examples=60)
+    def test_sup_norm_is_the_per_point_maximum(self, f, lo, samples):
+        # the vectorized grid evaluation reproduces eval() bit for bit
+        grid = np.linspace(lo, 0.0, samples)
+        reference = max(float(np.max(np.abs(f.eval(t)))) for t in grid)
+        assert sup_norm(f, lo, 0.0, samples) == reference
+
     @given(f=exppoly_st(max_terms=2))
     @settings(max_examples=30)
     def test_merging_keeps_terms_canonical(self, f):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sddde.derivs
 from sddde import (
     DegenerateEigenvalueError,
     DerivSettings,
@@ -18,6 +19,7 @@ from sddde import (
     multilinear_form,
     parse_model,
 )
+from sddde.model import Model
 from sddde.normalform import (
     HomologicalSystem,
     fold_order2_system,
@@ -91,6 +93,28 @@ class TestHopfH2:
 
 
 class TestHopfL1:
+    def test_work_count_at_reference_point(self, poscontrol_model, poscontrol_ref, monkeypatch):
+        # 3 + 4 phase samples for F2(q,q), F2(q,qbar), F3(q,q,qbar); polarization for
+        # F2(qbar, h20) and F2(q, h11); the coarse Richardson check costs nothing extra
+        counts = {"dd": 0, "evals": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            sddde.derivs, "directional_derivative",
+            counting("dd", sddde.derivs.directional_derivative),
+        )
+        monkeypatch.setattr(Model, "eval_functional", counting("evals", Model.eval_functional))
+        params = poscontrol_model.params_from(poscontrol_ref)
+        hopf_l1(poscontrol_model, params, [4.0, 4.0], np.pi / 6)
+        assert counts["dd"] <= 24
+        assert counts["evals"] <= 130
+
     def test_scalar_worked_example(self, scalar_nf):
         exact = 0.5 * ((2 - 1j) / (1 + 1j * PI_2)).real
         assert scalar_nf.L1 == pytest.approx(exact, abs=1e-7)
