@@ -201,11 +201,6 @@ class TestPhaseSampling:
             polar = multilinear_form(model, params, xstar, dirs)
             assert np.max(np.abs(sampled[name] - polar)) <= 1e-6 * (1.0 + np.max(np.abs(polar)))
 
-    def test_order_cap(self, scalar_setup):
-        model, params, xstar, _, eig = scalar_setup
-        with pytest.raises(SdddeError, match="order"):
-            phase_forms(model, params, xstar, eigenfunction(eig), 6)
-
 
 def delay_sum_points(frozen, order):
     pts = set()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sddde import ExpPoly, SdddeError, combine, poly_multiply, sup_norm
@@ -145,6 +145,8 @@ class TestProperties:
         lo=st.floats(-12.0, -0.1),
         samples=st.sampled_from([2, 61, 201]),
     )
+    # numpy can round theta**2 at theta = -2.759 differently as a scalar and in an array
+    @example(f=ExpPoly.exponential([1.0], 0.0, power=2), lo=-2.759, samples=61)
     @settings(max_examples=60)
     def test_sup_norm_is_the_per_point_maximum(self, f, lo, samples):
         # the vectorized grid evaluation reproduces eval() bit for bit
