@@ -1,10 +1,10 @@
 """Equilibrium branches, bifurcation detection, and Hopf-curve continuation.
 
-Branches of equilibria are followed in one parameter with a secant
-predictor and pseudo-arclength corrector; at every accepted point the
-rightmost characteristic roots are recomputed and sign changes of the test
-functions (real part of the rightmost complex pair for Hopf, determinant
-of the frozen-delay Jacobian for folds) are bracketed by bisection.
+Branches and Hopf curves share one pseudo-arclength stepper, _arclength
+(secant predictor, corrector, step halving and growth). On branches the
+test functions _test_hopf (real part of the rightmost complex pair) and
+_test_fold (determinant of the frozen-delay Jacobian) are evaluated at
+every accepted point and their sign changes are bracketed by bisection.
 
 Hopf curves are continued in two parameters through the extended real
 system {equilibrium residual; Re/Im of Delta(i w) q0; Re/Im of (c.q0 - 1)}
@@ -31,6 +31,7 @@ from .spectral import (
     characteristic_roots,
     hopf_eigendata,
     linearize,
+    phase_fixed,
 )
 
 _IM_TOL = 1e-8
@@ -118,6 +119,59 @@ def solve_equilibrium(model, params, guess, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
+# pseudo-arclength stepping, shared by branches and Hopf curves
+
+
+def _correct(residual, tangent, y_pred, tol, max_iters):
+    """Newton on [residual(y); tangent.(y - y_pred)] from the prediction y_pred."""
+
+    def aug(y):
+        return np.concatenate([residual(y), [tangent @ (y - y_pred)]])
+
+    return newton(aug, y_pred, tol=tol, max_iters=max_iters)
+
+
+def _arclength(residual, y, direction, step, underflow_msg):
+    """Accepted pseudo-arclength steps (y, h) from y, computed lazily.
+
+    Predicts along the normalized direction, then along the secant of the
+    last two points; h starts at step.initial, halves on corrector failure
+    down to step.min_step and grows after fast convergence. A zero secant
+    ends the steps.
+    """
+    h = step.initial
+    while True:
+        nrm = np.linalg.norm(direction)
+        if nrm == 0:
+            return
+        tangent = direction / nrm
+        while True:
+            try:
+                y_new, _, iters = _correct(
+                    residual, tangent, y + h * tangent, step.corrector_tol,
+                    step.max_corrector_iters,
+                )
+                break
+            except ConvergenceError:
+                h *= step.shrink
+                if h < step.min_step:
+                    raise ConvergenceError(underflow_msg) from None
+        yield y_new, h
+        direction = y_new - y
+        y = y_new
+        if iters <= step.fast_iters:
+            h = min(h * step.grow, step.max_step)
+
+
+def _leg_signs(direction):
+    """Leg orientations for a direction: +1 forward, -1 backward."""
+    signs = {"both": (+1.0, -1.0), "forward": (+1.0,), "backward": (-1.0,)}
+    if direction not in signs:
+        raise ModelError(f"direction must be 'both', 'forward' or 'backward', got {direction!r}")
+    return signs[direction]
+
+
+# ---------------------------------------------------------------------------
 # one-parameter equilibrium branches
 
 
@@ -134,31 +188,40 @@ class BranchPoint:
     omega: float | None = None
 
 
-def _analyze_point(model, pvec, x, roots_cfg, step):
-    lin = linearize(model, pvec, x)
-    roots = characteristic_roots(
-        lin, count=roots_cfg.count, re_cutoff=roots_cfg.re_cutoff, cheb_nodes=roots_cfg.cheb_nodes
-    )
-    lams = tuple(lam for lam, _ in roots)
+def _with_param(pvec, idx, value):
+    pv = pvec.copy()
+    pv[idx] = value
+    return pv
+
+
+def _roots(lin, cfg):
+    rts = characteristic_roots(lin, cfg.count, cfg.re_cutoff, cfg.cheb_nodes)
+    return tuple(lam for lam, _ in rts)
+
+
+def _test_hopf(lams):
+    """Largest real part of a complex root (Hopf test function); -inf if none."""
     complex_res = [lam.real for lam in lams if abs(lam.imag) > _IM_TOL]
-    test_hopf = max(complex_res) if complex_res else float("-inf")
-    test_fold = float(np.linalg.det(sum(lin.A)))
-    rightmost = max((lam.real for lam in lams), default=float("-inf"))
-    return lams, test_hopf, test_fold, rightmost < 0.0
+    return max(complex_res) if complex_res else float("-inf")
 
 
-def _make_point(model, pvec, pvalue, x, roots_cfg, step, event=None, omega=None):
-    lams, th, tf, stable = _analyze_point(model, pvec, x, roots_cfg, step)
+def _test_fold(lin):
+    """det of the frozen-delay Jacobian sum_j A_j (fold test function)."""
+    return float(np.linalg.det(sum(lin.A)))
+
+
+def _make_point(model, pvec, pvalue, x, roots_cfg, step, event=None):
+    lin = linearize(model, pvec, x)
+    lams = _roots(lin, roots_cfg)
     return BranchPoint(
         param=float(pvalue),
         x=np.asarray(x, dtype=float).copy(),
         roots=lams,
-        test_hopf=th,
-        test_fold=tf,
-        stable=stable,
+        test_hopf=_test_hopf(lams),
+        test_fold=_test_fold(lin),
+        stable=max((lam.real for lam in lams), default=float("-inf")) < 0.0,
         step=float(step),
         event=event,
-        omega=omega,
     )
 
 
@@ -170,18 +233,16 @@ def _refine_sign_change(model, pvec_template, fidx, value_fn, p_lo, p_hi, x_lo, 
             break
         p_mid = 0.5 * (p_lo + p_hi)
         x_guess = x_lo + (x_hi - x_lo) * ((p_mid - p_lo) / (p_hi - p_lo) if p_hi != p_lo else 0.5)
-        pv = pvec_template.copy()
-        pv[fidx] = p_mid
-        x_mid = solve_equilibrium(model, pv, x_guess)
+        x_mid = solve_equilibrium(model, _with_param(pvec_template, fidx, p_mid), x_guess)
         f_mid = value_fn(p_mid, x_mid)
         if np.sign(f_mid) == np.sign(f_lo):
             p_lo, x_lo, f_lo = p_mid, x_mid, f_mid
         else:
             p_hi, x_hi = p_mid, x_mid
     p_star = 0.5 * (p_lo + p_hi)
-    pv = pvec_template.copy()
-    pv[fidx] = p_star
-    x_star = solve_equilibrium(model, pv, 0.5 * (x_lo + x_hi))
+    x_star = solve_equilibrium(
+        model, _with_param(pvec_template, fidx, p_star), 0.5 * (x_lo + x_hi)
+    )
     return p_star, x_star
 
 
@@ -199,10 +260,13 @@ def continue_branch(
 
     Returns an ordered list of BranchPoint; detected bifurcations appear as
     extra points with event set to "HOPF" or "FOLD". Leaving the range
-    terminates the corresponding direction normally.
+    terminates the corresponding direction normally. direction is "both",
+    "forward" (increasing parameter) or "backward"; anything else raises
+    ModelError.
     """
     if free_name not in model.param_names:
         raise ModelError(f"unknown free parameter {free_name!r}")
+    signs = _leg_signs(direction)
     fidx = model.param_names.index(free_name)
     pvec = model.params_from(assignments)
     lo, hi = float(min(prange)), float(max(prange))
@@ -212,117 +276,64 @@ def continue_branch(
 
     x0 = solve_equilibrium(model, pvec, x_guess)
     start = _make_point(model, pvec, p0, x0, roots, 0.0)
-
-    passes = []
-    if direction in ("both", "forward"):
-        passes.append(+1.0)
-    if direction in ("both", "backward"):
-        passes.append(-1.0)
-
-    legs = {}
-    for sgn in passes:
-        legs[sgn] = _branch_leg(model, pvec, fidx, (lo, hi), start, sgn, step, roots)
-    if direction == "forward":
-        return [start] + legs[+1.0]
-    if direction == "backward":
-        return list(reversed(legs[-1.0])) + [start]
+    legs = {
+        sgn: _branch_leg(model, pvec, fidx, (lo, hi), start, sgn, step, roots) for sgn in signs
+    }
     return list(reversed(legs.get(-1.0, []))) + [start] + legs.get(+1.0, [])
 
 
 def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
+    """One direction: a natural first step, then arclength steps to the range end."""
     lo, hi = bounds
     n = model.n
     out = []
 
     def residual(y):
-        pv = pvec_base.copy()
-        pv[fidx] = y[n]
-        return model.equilibrium_residual(pv, y[:n])
+        return model.equilibrium_residual(_with_param(pvec_base, fidx, y[n]), y[:n])
 
     def solve_at(pval, x_seed):
-        pv = pvec_base.copy()
-        pv[fidx] = pval
-        return solve_equilibrium(model, pv, x_seed)
+        return solve_equilibrium(model, _with_param(pvec_base, fidx, pval), x_seed)
 
-    y_prev = np.concatenate([start.x, [start.param]])
-    h = step.initial
-    # first step: natural continuation to build a secant tangent
-    p1 = start.param + sgn * h
+    def accept(pval, x, h):
+        prev = out[-1] if out else start
+        out.append(_make_point(model, _with_param(pvec_base, fidx, pval), pval, x, roots, h))
+        _detect_events(model, pvec_base, fidx, prev, out[-1], out, roots)
+
+    p1 = start.param + sgn * step.initial
     if not (lo <= p1 <= hi):
         return out
     x1 = solve_at(p1, start.x)
-    y_cur = np.concatenate([x1, [p1]])
-    pv = pvec_base.copy()
-    pv[fidx] = p1
-    out.append(_make_point(model, pv, p1, x1, roots, sgn * h))
-    _detect_events(model, pvec_base, fidx, start, out[-1], out, roots, solve_at)
-
+    accept(p1, x1, sgn * step.initial)
+    y1 = np.concatenate([x1, [p1]])
+    steps = _arclength(
+        residual, y1, y1 - np.concatenate([start.x, [start.param]]), step,
+        "continuation step underflow (corrector keeps failing)",
+    )
     while len(out) < step.max_points:
-        tangent = y_cur - y_prev
-        nrm = np.linalg.norm(tangent)
-        if nrm == 0:
+        y_new, h = next(steps, (None, None))
+        if y_new is None:
             break
-        tangent /= nrm
-        accepted = False
-        while not accepted:
-            y_pred = y_cur + h * tangent
-
-            def aug(y):
-                return np.concatenate([residual(y), [tangent @ (y - y_pred)]])
-
-            try:
-                y_new, _, iters = newton(
-                    aug, y_pred, tol=step.corrector_tol, max_iters=step.max_corrector_iters
-                )
-                accepted = True
-            except ConvergenceError:
-                h *= step.shrink
-                if h < step.min_step:
-                    raise ConvergenceError(
-                        "continuation step underflow (corrector keeps failing)"
-                    ) from None
         p_new = float(y_new[n])
-        if not (lo <= p_new <= hi):
-            # land exactly on the boundary and stop this leg
-            p_end = hi if p_new > hi else lo
-            x_end = solve_at(p_end, y_new[:n])
-            pv = pvec_base.copy()
-            pv[fidx] = p_end
-            prev_pt = out[-1]
-            out.append(_make_point(model, pv, p_end, x_end, roots, sgn * h))
-            _detect_events(model, pvec_base, fidx, prev_pt, out[-1], out, roots, solve_at)
-            break
-        pv = pvec_base.copy()
-        pv[fidx] = p_new
-        prev_pt = out[-1]
-        out.append(_make_point(model, pv, p_new, y_new[:n], roots, h))
-        _detect_events(model, pvec_base, fidx, prev_pt, out[-1], out, roots, solve_at)
-        y_prev, y_cur = y_cur, y_new
-        if iters <= step.fast_iters:
-            h = min(h * step.grow, step.max_step)
+        if lo <= p_new <= hi:
+            accept(p_new, y_new[:n], h)
+            continue
+        # land exactly on the boundary and stop this leg
+        p_end = hi if p_new > hi else lo
+        accept(p_end, solve_at(p_end, y_new[:n]), sgn * h)
+        break
     return out
 
 
-def _detect_events(model, pvec_base, fidx, pt_a, pt_b, out, roots, solve_at):
+def _detect_events(model, pvec_base, fidx, pt_a, pt_b, out, roots):
     """Bisect bracketed test-function sign changes between two branch points."""
     if abs(pt_b.param - pt_a.param) < 1e-12:
         return
 
     def hopf_val(p, x):
-        pv = pvec_base.copy()
-        pv[fidx] = p
-        lin = linearize(model, pv, x)
-        rts = characteristic_roots(
-            lin, count=roots.count, re_cutoff=roots.re_cutoff, cheb_nodes=roots.cheb_nodes
-        )
-        vals = [lam.real for lam, _ in rts if abs(lam.imag) > _IM_TOL]
-        return max(vals) if vals else float("-inf")
+        return _test_hopf(_roots(linearize(model, _with_param(pvec_base, fidx, p), x), roots))
 
     def fold_val(p, x):
-        pv = pvec_base.copy()
-        pv[fidx] = p
-        lin = linearize(model, pv, x)
-        return float(np.linalg.det(sum(lin.A)))
+        return _test_fold(linearize(model, _with_param(pvec_base, fidx, p), x))
 
     events = []
     if (
@@ -333,31 +344,21 @@ def _detect_events(model, pvec_base, fidx, pt_a, pt_b, out, roots, solve_at):
         p_star, x_star = _refine_sign_change(
             model, pvec_base, fidx, hopf_val, pt_a.param, pt_b.param, pt_a.x, pt_b.x
         )
-        pv = pvec_base.copy()
-        pv[fidx] = p_star
-        lin = linearize(model, pv, x_star)
-        rts = characteristic_roots(
-            lin, count=roots.count, re_cutoff=roots.re_cutoff, cheb_nodes=roots.cheb_nodes
-        )
-        pair = [lam for lam, _ in rts if lam.imag > _IM_TOL]
-        omega = None
+        pv = _with_param(pvec_base, fidx, p_star)
+        point = _make_point(model, pv, p_star, x_star, roots, pt_b.step, "HOPF")
+        pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
         if pair:
             cand = min(pair, key=lambda z: abs(z.real))
             try:
-                eig = hopf_eigendata(lin, cand.imag)
-                omega = eig.omega
+                eig = hopf_eigendata(linearize(model, pv, x_star), cand.imag)
+                events.append(replace(point, omega=eig.omega))
             except (DegenerateEigenvalueError, ConvergenceError) as err:
                 warnings.warn(f"Hopf candidate at {p_star:.8g} failed validation: {err}")
-        if omega is not None:
-            events.append(
-                _make_point(model, pv, p_star, x_star, roots, pt_b.step, "HOPF", omega)
-            )
     if np.sign(pt_a.test_fold) * np.sign(pt_b.test_fold) < 0:
         p_star, x_star = _refine_sign_change(
             model, pvec_base, fidx, fold_val, pt_a.param, pt_b.param, pt_a.x, pt_b.x
         )
-        pv = pvec_base.copy()
-        pv[fidx] = p_star
+        pv = _with_param(pvec_base, fidx, p_star)
         events.append(_make_point(model, pv, p_star, x_star, roots, pt_b.step, "FOLD"))
     if events:
         last = out.pop()
@@ -403,11 +404,6 @@ def _hopf_residual(model, pvec_base, fidx1, fidx2, c_row, y, n):
     w = char_matrix(lin, 1j * omega) @ q
     norm = c_row @ q - 1.0
     return np.concatenate([eqres, w.real, w.imag, [norm.real, norm.imag]])
-
-
-def _phase_fixed(q):
-    k = int(np.argmax(np.abs(q)))
-    return q / (q[k] / abs(q[k]))
 
 
 def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
@@ -459,9 +455,12 @@ def continue_hopf_curve(
     tolerance; with monitor_l1 the first Lyapunov coefficient is computed
     at each point and its sign changes are refined on the curve and
     reported as L1_ZERO events (degenerate Hopf, Bautin candidate).
+    direction is "both", "forward" (first free parameter increasing at the
+    start) or "backward"; anything else raises ModelError.
     """
     deriv_settings = deriv_settings or DerivSettings()
     f1, f2 = _free_indices(model, free_names)
+    signs = _leg_signs(direction)
     pvec_base = model.params_from(assignments)
     n = model.n
     y0, c_row = start_hopf_curve(model, assignments, free_names, x_guess, omega_guess)
@@ -482,7 +481,7 @@ def continue_hopf_curve(
             params=(float(y[3 * n + 1]), float(y[3 * n + 2])),
             x=y[:n].copy(),
             omega=float(y[3 * n]),
-            q0=_phase_fixed(q / np.linalg.norm(q)),
+            q0=phase_fixed(q / np.linalg.norm(q))[0],
             residual=res,
             L1=None,
             event=event,
@@ -495,15 +494,11 @@ def continue_hopf_curve(
             point = replace(point, L1=curve_l1(y) if L1 is None else L1)
         return point
 
-    points = [make_point(y0)]
-    legs = {}
-    for sgn in (+1.0, -1.0) if direction == "both" else ((+1.0,) if direction == "forward" else (-1.0,)):
-        legs[sgn] = _curve_leg(
-            model, residual, make_point, y0, sgn, step, n
-        )
+    start = make_point(y0)
+    legs = {sgn: _curve_leg(residual, make_point, y0, sgn, step, n) for sgn in signs}
     forward = legs.get(+1.0, [])
     backward = legs.get(-1.0, [])
-    pts = [pt for _, pt in reversed(backward)] + points + [pt for _, pt in forward]
+    pts = [pt for _, pt in reversed(backward)] + [start] + [pt for _, pt in forward]
     ys = [y for y, _ in reversed(backward)] + [y0] + [y for y, _ in forward]
 
     if monitor_l1:
@@ -511,10 +506,8 @@ def continue_hopf_curve(
     return pts
 
 
-def _curve_leg(model, residual, make_point, y_start, sgn, step, n):
-    out = []
-    h = step.initial
-    # first tangent from the nullspace of the extended Jacobian
+def _curve_leg(residual, make_point, y_start, sgn, step, n):
+    """One direction: arclength steps from the nullspace tangent of the extended system."""
     J = _fd_jacobian(residual, y_start)
     _, _, Vh = np.linalg.svd(J)
     tangent = Vh[-1]
@@ -522,43 +515,19 @@ def _curve_leg(model, residual, make_point, y_start, sgn, step, n):
     ref = tangent[3 * n + 1]
     if abs(ref) < 1e-12:
         ref = tangent[int(np.argmax(np.abs(tangent)))]
-    tangent = tangent / (np.linalg.norm(tangent) * np.sign(ref)) * sgn
-    y_cur = y_start
-    while len(out) < step.max_points:
-        accepted = False
-        while not accepted:
-            y_pred = y_cur + h * tangent
-
-            def aug(y):
-                return np.concatenate([residual(y), [tangent @ (y - y_pred)]])
-
-            try:
-                y_new, _, iters = newton(
-                    aug, y_pred, tol=step.corrector_tol, max_iters=step.max_corrector_iters
-                )
-                accepted = True
-            except DelayRangeError:
-                # the curve left the model's delay domain: end this leg
-                return out
-            except ConvergenceError:
-                h *= step.shrink
-                if h < step.min_step:
-                    raise ConvergenceError(
-                        "Hopf-curve corrector failure after step underflow"
-                    ) from None
-        try:
-            point = make_point(y_new)
-        except DelayRangeError:
-            return out
-        out.append((y_new, point))
-        new_tangent = y_new - y_cur
-        nt = np.linalg.norm(new_tangent)
-        if nt == 0:
-            break
-        tangent = new_tangent / nt
-        y_cur = y_new
-        if iters <= step.fast_iters:
-            h = min(h * step.grow, step.max_step)
+    steps = _arclength(
+        residual, y_start, tangent * (np.sign(ref) * sgn), step,
+        "Hopf-curve corrector failure after step underflow",
+    )
+    out = []
+    try:
+        while len(out) < step.max_points:
+            y_new, _ = next(steps, (None, None))
+            if y_new is None:
+                break
+            out.append((y_new, make_point(y_new)))
+    except DelayRangeError:
+        pass  # the curve left the model's delay domain: end this leg
     return out
 
 
@@ -590,10 +559,7 @@ def _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n):
             t = min(max(t, 0.0), 1.0)
             y_pred = ya + t * seg
 
-            def aug(y):
-                return np.concatenate([residual(y), [tangent @ (y - y_pred)]])
-
-            y_t, _, _ = newton(aug, y_pred, tol=1e-10, max_iters=12)
+            y_t, _, _ = _correct(residual, tangent, y_pred, 1e-10, 12)
             l_t = curve_l1(y_t)
             if np.sign(l_t) == np.sign(la):
                 ta, la = t, l_t

@@ -41,18 +41,21 @@ class DerivSettings:
             raise SdddeError("richardson_levels must be >= 1")
 
 
-def _eval_stencil(model, params, xstar, direction, order, step, tau_max):
-    """Plain central-difference estimate of d^order/d delta^order F(x*+delta v)."""
+def _eval_stencil(model, params, xstar, direction, order, step, tau_max, centre):
+    """Plain central-difference estimate of d^order/d delta^order F(x*+delta v).
+
+    centre is F(x*), the zero-offset value of even orders, evaluated once per pass.
+    """
     hist = direction.eval_real if isinstance(direction, ExpPoly) else direction
     total = np.zeros(model.n)
     for k in range(order + 1):
         offset = (order / 2 - k) * step
         coeff = (-1) ** k * comb(order, k)
-        if offset == 0.0 and order % 2 == 0 and order > 0:
-            u = xstar
+        if offset == 0.0:
+            value = centre
         else:
-            u = _Perturbed(xstar, offset, hist)
-        total += coeff * model.eval_functional(params, u, tau_max=tau_max)
+            value = model.eval_functional(params, _Perturbed(xstar, offset, hist), tau_max=tau_max)
+        total += coeff * value
     return total / step**order
 
 
@@ -101,8 +104,9 @@ def directional_derivative(
             return row if all_levels else row[-1]
         scale = nrm
         direction = v * (1.0 / nrm)
+    centre = model.eval_functional(params, xstar, tau_max=tau_max) if order % 2 == 0 else None
     row = _richardson_row(
-        lambda h: _eval_stencil(model, params, xstar, direction, order, h, tau_max),
+        lambda h: _eval_stencil(model, params, xstar, direction, order, h, tau_max, centre),
         settings.base_step,
         settings.richardson_levels,
     ) * scale**order

@@ -33,16 +33,15 @@ class Trajectory:
         return self.y.shape[1]
 
     def __call__(self, time):
-        """Dense evaluation; exact at nodes, cubic Hermite in between."""
+        """Dense evaluation; exact at nodes, cubic Hermite in between, no extrapolation."""
         if time <= 0.0:
             return np.asarray(self.history(time), dtype=float)
-        h = self.step
-        near = int(round(time / h))
+        near = int(round(time / self.step))
         if 0 <= near < len(self.t) and abs(time - self.t[near]) <= 1e-12 * max(1.0, abs(time)):
             return self.y[near].copy()
-        idx = min(int(time / h), len(self.t) - 2)
-        s = (time - self.t[idx]) / h
-        return _hermite(self.y[idx], self.yp[idx], self.y[idx + 1], self.yp[idx + 1], s, h)
+        if time > self.t[-1]:
+            raise SdddeError(f"time {time:.6g} is beyond the trajectory end {self.t[-1]:.6g}")
+        return _interpolate(self.y, self.yp, self.step, time)
 
     def tail_history(self, at_time):
         """History callable u_{at_time}(theta) for restarting a simulation."""
@@ -51,6 +50,13 @@ class Trajectory:
             return self(at_time + theta)
 
         return hist
+
+
+def _interpolate(y, yp, h, time):
+    """Cubic Hermite value at time from nodes k*h with values y and slopes yp."""
+    idx = int(time / h)
+    s = (time - idx * h) / h
+    return _hermite(y[idx], yp[idx], y[idx + 1], yp[idx + 1], s, h)
 
 
 def _hermite(y0, m0, y1, m1, s, h):
@@ -81,16 +87,14 @@ class _DenseState:
             return np.asarray(self.history(time), dtype=float)
         h = self.h
         k = len(self.y) - 1      # completed steps span [0, k*h]
-        idx = int(time / h)
-        if idx >= k:
-            if self.tentative is None:
-                raise SdddeError("history query beyond computed trajectory")
-            self.used_tentative = True
-            y1, m1 = self.tentative
-            s = (time - k * h) / h
-            return _hermite(self.y[k], self.yp[k], y1, m1, min(s, 1.0), h)
-        s = (time - idx * h) / h
-        return _hermite(self.y[idx], self.yp[idx], self.y[idx + 1], self.yp[idx + 1], s, h)
+        if int(time / h) < k:
+            return _interpolate(self.y, self.yp, h, time)
+        if self.tentative is None:
+            raise SdddeError("history query beyond computed trajectory")
+        self.used_tentative = True
+        y1, m1 = self.tentative
+        s = (time - k * h) / h
+        return _hermite(self.y[k], self.yp[k], y1, m1, min(s, 1.0), h)
 
 
 def simulate(model, params, history, t_end, step, tau_max=None):

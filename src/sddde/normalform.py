@@ -12,13 +12,16 @@ forms on h20 and h11 come from polarization. The fold coefficient is the
 quadratic coefficient on the one-dimensional center manifold of a simple
 zero root, a = p0 F2(q, q) / 2.
 
-The same systems are also exposed through a generic homological-equation
-solver (regular orders solve directly; resonant orders carry a normal-form
-unknown and are solved through a bordered system with the solution forced
-orthogonal to the nullspace of L_h^T).
+hopf_h2 solves the HomologicalSystems of hopf_order2_systems, and
+_solve_regular is the one regular solve, shared with the generic
+homological-equation solver. Resonant orders carry a normal-form unknown
+and are solved through a bordered system with the solution forced
+orthogonal to the nullspace of L_h^T. hopf_l1 and fold_coefficient keep
+the direct p0 formulas: off the bifurcation set the bordered alpha is a
+different approximation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .spectral import (
     eigenfunction,
     hopf_eigendata,
     linearize,
+    phase_fixed,
 )
 
 _DEGENERACY_TOL = 1e-8
@@ -69,37 +73,16 @@ def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
         _, f2qqbar, f2qq = phase_forms(model, params, xstar, eigenfunction(eig), 2, settings)
     else:
         f2qq, f2qqbar = forms["f2qq"], forms["f2qqbar"]
+    sys20, sys11 = hopf_order2_systems(lin, eig, f2qq, f2qqbar)
     h20_coef = _solve_regular(
-        char_matrix(lin, 2j * eig.omega),
-        f2qq,
-        "resonant Hopf: 1:2 resonance, Delta(2 i w) singular",
+        sys20.L_h, sys20.rhs, "resonant Hopf: 1:2 resonance, Delta(2 i w) singular"
     )
     h11_coef = _solve_regular(
-        char_matrix(lin, 0.0),
-        2.0 * f2qqbar,
-        "resonant Hopf: Delta(0) singular (fold-Hopf)",
+        sys11.L_h, sys11.rhs, "resonant Hopf: Delta(0) singular (fold-Hopf)"
     )
     h2_20 = ExpPoly.exponential(h20_coef, 2j * eig.omega)
     h2_11 = ExpPoly.constant(h11_coef)
     return h2_20, h2_11
-
-
-def _canonical_phase(eig):
-    """Re-fix the EigenData phase convention (largest q0 component real > 0).
-
-    Makes the pipeline exactly phase-invariant: externally rotated
-    eigenvectors map to the same canonical pair before any FD evaluation.
-    """
-    k = int(np.argmax(np.abs(eig.q0)))
-    phase = eig.q0[k] / abs(eig.q0[k])
-    if phase == 1.0:
-        return eig
-    return EigenData(
-        omega=eig.omega,
-        q0=eig.q0 / phase,
-        p0=eig.p0 * phase,
-        residuals=eig.residuals,
-    )
 
 
 def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None):
@@ -108,7 +91,9 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None
     The cubic bracket is evaluated at the configured Richardson level and
     checked against the value one level coarser, read off the same tableau;
     disagreement beyond the consistency tolerance raises "derivative
-    accuracy insufficient".
+    accuracy insufficient". A given eig is re-fixed to the phase_fixed
+    convention first, so externally rotated eigenvectors give the same
+    result.
     """
     settings = settings or DerivSettings()
     params = np.asarray(params, dtype=float)
@@ -117,7 +102,9 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None
     if eig is None:
         eig = hopf_eigendata(lin, omega_guess)
     else:
-        eig = _canonical_phase(eig)
+        q0, phase = phase_fixed(eig.q0)
+        if phase != 1.0:
+            eig = replace(eig, q0=q0, p0=eig.p0 * phase)
     h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin)
     q = eigenfunction(eig)
     terms = [
@@ -172,9 +159,7 @@ def fold_coefficient(model, params, xstar, settings=None, lin=None):
     U, _, Vh = np.linalg.svd(D0)
     q0 = Vh[-1]
     p0 = U[:, -1]
-    k = int(np.argmax(np.abs(q0)))
-    if q0[k] < 0:
-        q0 = -q0
+    q0, _ = phase_fixed(q0)
     scale = p0 @ char_matrix_deriv(lin, 0.0).real @ q0
     if abs(scale) < 1e-8:
         raise DegenerateEigenvalueError(
@@ -215,12 +200,10 @@ def homological_solve(sys):
     k = sys.L_h.shape[0]
     d = sys.L_alpha.shape[1] if sys.L_alpha.size else 0
     if d == 0:
-        s = np.linalg.svd(sys.L_h, compute_uv=False)
-        if s[-1] < _SINGULAR_TOL * max(s[0], 1.0):
-            raise ResonanceError(
-                "homological system is singular but carries no normal-form unknown"
-            )
-        return np.linalg.solve(sys.L_h, sys.rhs), np.zeros(0, dtype=complex)
+        h0 = _solve_regular(
+            sys.L_h, sys.rhs, "homological system is singular but carries no normal-form unknown"
+        )
+        return h0, np.zeros(0, dtype=complex)
     if sys.kernel_dim != d:
         raise NumericalError(
             f"normal-form unknown dimension {d} does not match kernel dimension "

@@ -10,6 +10,9 @@ whose roots are the eigenvalues. Root finding seeds a Chebyshev
 pseudospectral discretization of the generator and refines each seed by
 Newton on the bordered system [Delta(lambda) q; c.q - 1] = 0.
 
+Every critical eigenvector follows one phase convention, phase_fixed:
+its largest-magnitude component is real positive.
+
 The resolvent and the contour-quadrature spectral projection operate in
 closed form on ExpPoly data, so projections of exponential-polynomial
 histories are again exponential polynomials.
@@ -239,7 +242,7 @@ class EigenData:
     """Critical pair +-i*omega with normalized right/adjoint eigenvectors.
 
     Invariants: Delta(i w) q0 ~ 0, p0 Delta(i w) ~ 0, p0 Delta'(i w) q0 = 1,
-    and the largest-magnitude component of q0 is real positive.
+    and the largest-magnitude component of q0 is real positive (phase_fixed).
     """
 
     omega: float
@@ -250,6 +253,14 @@ class EigenData:
     @property
     def lam(self):
         return 1j * self.omega
+
+
+def phase_fixed(v):
+    """(v / phase, phase) for the unit phase of v's largest-|.| component, so
+    that component of v / phase is real positive (a real v is sign-flipped)."""
+    k = int(np.argmax(np.abs(v)))
+    phase = v[k] / abs(v[k])
+    return v / phase, phase
 
 
 def hopf_eigendata(lin, omega_guess):
@@ -270,10 +281,7 @@ def hopf_eigendata(lin, omega_guess):
             "non-semisimple or degenerate critical eigenvalue: "
             f"|p0 Delta'(i w) q0| = {abs(scale):.2e} before scaling"
         )
-    # phase: largest-|.| component of q0 real positive
-    k = int(np.argmax(np.abs(q0)))
-    phase = q0[k] / abs(q0[k])
-    q0 = q0 / phase
+    q0, _ = phase_fixed(q0)
     p0 = p0 / (p0 @ char_matrix_deriv(lin, 1j * omega) @ q0)
     residuals = {
         "right": float(np.linalg.norm(D @ q0)),
@@ -284,7 +292,7 @@ def hopf_eigendata(lin, omega_guess):
     return EigenData(omega=float(omega), q0=q0, p0=p0, residuals=residuals)
 
 
-def eigenfunction(eig, lin=None):
+def eigenfunction(eig):
     """The critical eigenfunction q(theta) = q0 exp(i w theta) as ExpPoly."""
     return ExpPoly.exponential(eig.q0, 1j * eig.omega)
 

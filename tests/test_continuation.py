@@ -6,6 +6,7 @@ import sddde.continuation
 from sddde import (
     ConvergenceError,
     DerivSettings,
+    ModelError,
     StepSettings,
     continue_branch,
     continue_hopf_curve,
@@ -26,6 +27,9 @@ CUBIC_FREE_TAU_SRC = (
     'delays=["0", "tau"]\nrhs=["p - x1@2^3"]\n'
 )
 CUBIC_FREE_TAU_SD_SRC = CUBIC_FREE_TAU_SRC.replace('"tau"]\nrhs', '"tau + 0*x1@1"]\nrhs')
+# the same cubic model with tau_max = 2: its Hopf curve p = (pi/(6 tau))^1.5 leaves the
+# delay domain where tau reaches 2
+CUBIC_SHORT_DOMAIN_SRC = CUBIC_FREE_TAU_SRC.replace("tau_max=6", "tau_max=2")
 
 
 def hopf_formula_tau0(s0, k=1.0):
@@ -250,3 +254,133 @@ class TestHopfCurve:
             assert abs(pa.params[0] - pb.params[0]) <= 1e-8
             assert abs(pa.params[1] - pb.params[1]) <= 1e-8
             assert abs(pa.omega - pb.omega) <= 1e-8
+
+
+def _counting(monkeypatch, name):
+    """Replace sddde.continuation.<name> by a wrapper that records its arguments."""
+    calls = []
+    original = getattr(sddde.continuation, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sddde.continuation, name, wrapper)
+    return calls
+
+
+class TestArclengthStepper:
+    """Edges of the pseudo-arclength stepper shared by branches and Hopf curves."""
+
+    def _scalar_forward(self, scalar_model, max_points):
+        return continue_branch(
+            scalar_model,
+            {"p": -1.5},
+            "p",
+            (-2.0, -1.0),
+            np.array([-1.5]),
+            step=StepSettings(max_points=max_points),
+            direction="forward",
+        )
+
+    @pytest.mark.parametrize("max_points", [5, 1])
+    def test_branch_stops_at_max_points_without_extra_step(self, scalar_model, monkeypatch,
+                                                           max_points):
+        calls = _counting(monkeypatch, "newton")
+        pts = self._scalar_forward(scalar_model, max_points)
+        # the start, the natural first step and max_points - 1 arclength steps, one
+        # Newton solve each
+        assert len(pts) == max_points + 1
+        assert all(pt.event is None for pt in pts)
+        assert len(calls) == max_points + 1
+
+    def test_corrector_underflow_messages(self, scalar_model, poscontrol_model, poscontrol_ref,
+                                          monkeypatch):
+        attempts = []
+
+        def failing(residual, tangent, y_pred, tol, max_iters):
+            attempts.append(y_pred)
+            raise ConvergenceError("forced corrector failure")
+
+        monkeypatch.setattr(sddde.continuation, "_correct", failing)
+        with pytest.raises(ConvergenceError, match="continuation step underflow"):
+            self._scalar_forward(scalar_model, 5)
+        # h = 0.05 halves until it drops below min_step = 1e-5: 13 corrector attempts
+        assert len(attempts) == 13
+        attempts.clear()
+        with pytest.raises(ConvergenceError, match="Hopf-curve corrector failure after step"):
+            continue_hopf_curve(
+                poscontrol_model,
+                poscontrol_ref,
+                ("tau0", "s0"),
+                np.array([4.0, 4.0]),
+                omega_guess=np.pi / 6,
+                step=StepSettings(initial=0.1, max_points=3),
+            )
+        # h = 0.1: 14 attempts
+        assert len(attempts) == 14
+
+    def test_hopf_curve_max_points_zero_is_the_start_point(self, poscontrol_model, poscontrol_ref,
+                                                         monkeypatch):
+        calls = _counting(monkeypatch, "newton")
+        pts = continue_hopf_curve(
+            poscontrol_model,
+            poscontrol_ref,
+            ("tau0", "s0"),
+            np.array([4.0, 4.0]),
+            omega_guess=np.pi / 6,
+            step=StepSettings(initial=0.1, max_points=0),
+        )
+        assert len(pts) == 1
+        assert len(calls) == 2  # the start solves only: no corrector ran
+        assert pts[0].residual <= 1e-8
+
+    def test_hopf_curve_leg_ends_at_delay_domain(self):
+        m = parse_model(CUBIC_SHORT_DOMAIN_SRC)
+        tau = 1.5
+        p = (np.pi / (6 * tau)) ** 1.5
+        pts = continue_hopf_curve(
+            m,
+            {"p": p, "tau": tau},
+            ("p", "tau"),
+            np.array([p ** (1.0 / 3.0)]),
+            omega_guess=np.pi / (2 * tau),
+            step=StepSettings(initial=0.1, max_points=40, max_step=0.2),
+            direction="backward",  # p decreasing, tau increasing towards tau_max
+        )
+        taus = [pt.params[1] for pt in pts]
+        assert len(pts) < 41
+        assert taus == sorted(taus, reverse=True)
+        assert 1.6 < taus[0] <= 2.0
+        for pt in pts:
+            p_curve = (np.pi / (6 * pt.params[1])) ** 1.5
+            assert max(pt.residual, abs(pt.params[0] - p_curve)) <= 1e-8
+
+    def test_hopf_event_roots_computed_once(self, scalar_model, monkeypatch):
+        calls = _counting(monkeypatch, "characteristic_roots")
+        pts = continue_branch(
+            scalar_model,
+            {"p": -1.5},
+            "p",
+            (-2.0, -1.0),
+            np.array([-1.5]),
+            step=StepSettings(initial=0.05, max_points=10),
+            direction="backward",
+        )
+        (event,) = [pt for pt in pts if pt.event == "HOPF"]
+        assert event.omega == pytest.approx(1.0, abs=1e-6)
+        assert sum(1 for (lin, *_) in calls if lin.params[0] == event.param) == 1
+
+    @pytest.mark.parametrize("direction", ["up", "Forward", ""])
+    def test_unknown_direction_raises(self, scalar_model, poscontrol_model, poscontrol_ref,
+                                      direction):
+        with pytest.raises(ModelError, match="direction"):
+            continue_branch(
+                scalar_model, {"p": -1.5}, "p", (-2.0, -1.0), np.array([-1.5]),
+                direction=direction,
+            )
+        with pytest.raises(ModelError, match="direction"):
+            continue_hopf_curve(
+                poscontrol_model, poscontrol_ref, ("tau0", "s0"), np.array([4.0, 4.0]),
+                omega_guess=np.pi / 6, direction=direction,
+            )

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 import scipy.special
 
-from sddde import ExpPoly, characteristic_roots, combine, linearize, parse_model, simulate
+from sddde import (
+    ExpPoly,
+    SdddeError,
+    characteristic_roots,
+    combine,
+    linearize,
+    parse_model,
+    simulate,
+)
 
 PI_2 = np.pi / 2
 
@@ -37,6 +45,18 @@ class TestSimulate:
         traj = simulate(linear_model, [], hist, t_end=1.0, step=0.05)
         for k in range(traj.t.size):
             assert np.array_equal(traj(traj.t[k]), traj.y[k])
+
+    def test_dense_output_does_not_extrapolate(self, linear_model, char_history):
+        _, hist = char_history
+        traj = simulate(linear_model, [], hist, t_end=1.0, step=0.05)
+        end = traj.t[-1]
+        assert np.array_equal(traj(end), traj.y[-1])
+        assert np.array_equal(traj(end * (1 + 1e-15)), traj.y[-1])  # snaps to the last node
+        for time in (end + 0.01, end + 0.05, 2.0):
+            with pytest.raises(SdddeError, match="beyond the trajectory end"):
+                traj(time)
+        with pytest.raises(SdddeError, match="beyond the trajectory end"):
+            traj.tail_history(end)(0.01)
 
     def test_growth_and_decay_rates_match_roots(self, scalar_model):
         for dp in (-0.05, +0.05):
