@@ -210,12 +210,12 @@ def _test_fold(lin):
     return float(np.linalg.det(sum(lin.A)))
 
 
-def _make_point(model, pvec, pvalue, x, roots_cfg, step, event=None):
-    lin = linearize(model, pvec, x)
+def _make_point(lin, pvalue, roots_cfg, step, event=None):
+    """Branch point at the equilibrium lin.xstar, with roots and test functions."""
     lams = _roots(lin, roots_cfg)
     return BranchPoint(
         param=float(pvalue),
-        x=np.asarray(x, dtype=float).copy(),
+        x=lin.xstar.copy(),
         roots=lams,
         test_hopf=_test_hopf(lams),
         test_fold=_test_fold(lin),
@@ -275,7 +275,7 @@ def continue_branch(
         raise ModelError(f"initial {free_name}={p0} outside range [{lo}, {hi}]")
 
     x0 = solve_equilibrium(model, pvec, x_guess)
-    start = _make_point(model, pvec, p0, x0, roots, 0.0)
+    start = _make_point(linearize(model, pvec, x0), p0, roots, 0.0)
     legs = {
         sgn: _branch_leg(model, pvec, fidx, (lo, hi), start, sgn, step, roots) for sgn in signs
     }
@@ -296,7 +296,8 @@ def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
 
     def accept(pval, x, h):
         prev = out[-1] if out else start
-        out.append(_make_point(model, _with_param(pvec_base, fidx, pval), pval, x, roots, h))
+        lin = linearize(model, _with_param(pvec_base, fidx, pval), x)
+        out.append(_make_point(lin, pval, roots, h))
         _detect_events(model, pvec_base, fidx, prev, out[-1], out, roots)
 
     p1 = start.param + sgn * step.initial
@@ -344,13 +345,13 @@ def _detect_events(model, pvec_base, fidx, pt_a, pt_b, out, roots):
         p_star, x_star = _refine_sign_change(
             model, pvec_base, fidx, hopf_val, pt_a.param, pt_b.param, pt_a.x, pt_b.x
         )
-        pv = _with_param(pvec_base, fidx, p_star)
-        point = _make_point(model, pv, p_star, x_star, roots, pt_b.step, "HOPF")
+        lin = linearize(model, _with_param(pvec_base, fidx, p_star), x_star)
+        point = _make_point(lin, p_star, roots, pt_b.step, "HOPF")
         pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
         if pair:
             cand = min(pair, key=lambda z: abs(z.real))
             try:
-                eig = hopf_eigendata(linearize(model, pv, x_star), cand.imag)
+                eig = hopf_eigendata(lin, cand.imag)
                 events.append(replace(point, omega=eig.omega))
             except (DegenerateEigenvalueError, ConvergenceError) as err:
                 warnings.warn(f"Hopf candidate at {p_star:.8g} failed validation: {err}")
@@ -358,8 +359,8 @@ def _detect_events(model, pvec_base, fidx, pt_a, pt_b, out, roots):
         p_star, x_star = _refine_sign_change(
             model, pvec_base, fidx, fold_val, pt_a.param, pt_b.param, pt_a.x, pt_b.x
         )
-        pv = _with_param(pvec_base, fidx, p_star)
-        events.append(_make_point(model, pv, p_star, x_star, roots, pt_b.step, "FOLD"))
+        lin = linearize(model, _with_param(pvec_base, fidx, p_star), x_star)
+        events.append(_make_point(lin, p_star, roots, pt_b.step, "FOLD"))
     if events:
         last = out.pop()
         events.sort(key=lambda pt: (pt.param - pt_a.param) / (pt_b.param - pt_a.param))

@@ -101,7 +101,8 @@ def simulate(model, params, history, t_end, step, tau_max=None):
     """Integrate the sd-DDE from a history on [-tau_max, 0] to t_end.
 
     history may be an ExpPoly, a constant vector, or a callable; step is
-    the fixed RK4 step. Stage values needing not-yet-computed history are
+    the fixed RK4 step, and t_end must be a whole number of steps (to a
+    relative 1e-9). Stage values needing not-yet-computed history are
     resolved by fixed-point sweeps (error if they do not settle).
     """
     if step <= 0:
@@ -115,6 +116,8 @@ def simulate(model, params, history, t_end, step, tau_max=None):
     nsteps = int(round(t_end / step))
     if nsteps < 1:
         raise SdddeError("t_end must cover at least one step")
+    if abs(nsteps * step - t_end) > 1e-9 * abs(t_end):
+        raise SdddeError(f"t_end={t_end:g} is not a whole number of steps of {step:g}")
 
     dense = _DenseState(hist, step)
     dense.y.append(x0)

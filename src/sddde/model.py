@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayRangeError, ModelError
+from .errors import DelayRangeError, ModelError, NumericalError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tan", "atan")
 
@@ -356,12 +356,18 @@ class Model:
     # -- raw coefficient evaluation ------------------------------------
 
     def eval_rhs(self, xmat, params):
-        """f(x^1..x^m, p) for an (n, m) slot matrix."""
-        return np.array([fn(xmat, params) for fn in self._rhs_fns], dtype=float)
+        """f(x^1..x^m, p) for an (n, m) slot matrix; math errors raise NumericalError."""
+        try:
+            return np.array([fn(xmat, params) for fn in self._rhs_fns], dtype=float)
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            raise NumericalError(f"numerical failure: {err}") from err
 
     def eval_delay(self, j, xmat, params):
-        """Delay of slot j (1-based)."""
-        return float(self._delay_fns[j - 1](xmat, params))
+        """Delay of slot j (1-based); math errors raise NumericalError."""
+        try:
+            return float(self._delay_fns[j - 1](xmat, params))
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            raise NumericalError(f"numerical failure: {err}") from err
 
     # -- functional ------------------------------------------------------
 

@@ -13,14 +13,14 @@ Newton on the bordered system [Delta(lambda) q; c.q - 1] = 0.
 Every critical eigenvector follows one phase convention, phase_fixed:
 its largest-magnitude component is real positive.
 
-The resolvent and the contour-quadrature spectral projection operate in
-closed form on ExpPoly data, so projections of exponential-polynomial
-histories are again exponential polynomials.
+The resolvent acts in closed form on ExpPoly data. The spectral projection
+P_c, from contour moments, maps an ExpPoly to theta^k exp(z theta) terms,
+one per critical root z and Jordan-chain position k.
 """
 
 import warnings
 from dataclasses import dataclass, field
-from math import pi
+from math import factorial, pi
 
 import numpy as np
 
@@ -302,6 +302,9 @@ def eigenfunction(eig):
 
 _SERIES_CUTOFF = 1e-6
 _SERIES_TERMS = 12
+_CONTOUR_NODES = 64
+_MOMENTS = 8          # contour moments M_0..M_7 examined per critical root
+_MOMENT_TOL = 1e-6
 
 
 def exp_integral(v, lam):
@@ -312,37 +315,37 @@ def exp_integral(v, lam):
         if abs(alpha) < _SERIES_CUTOFF:
             # near-resonant: expand exp(alpha s) to keep coefficients benign
             for t in range(_SERIES_TERMS):
-                fac = alpha**t / _factorial(t)
+                fac = alpha**t / factorial(t)
                 terms.append((-coef * fac / (power + t + 1), power + t + 1, lam))
         else:
             # int s^k e^{alpha s} ds = e^{alpha s} sum_i (-1)^i k!/(k-i)! s^{k-i}/alpha^{i+1}
-            q0 = (-1.0) ** power * _factorial(power) / alpha ** (power + 1)
+            q0 = (-1.0) ** power * factorial(power) / alpha ** (power + 1)
             terms.append((coef * q0, 0, lam))
             for i in range(power + 1):
-                ci = (-1.0) ** i * _factorial(power) / _factorial(power - i) / alpha ** (i + 1)
+                ci = (-1.0) ** i * factorial(power) / factorial(power - i) / alpha ** (i + 1)
                 terms.append((-coef * ci, power - i, mu))
     return ExpPoly(v.dim, terms)
 
 
-def _factorial(k):
-    out = 1.0
-    for i in range(2, k + 1):
-        out *= i
-    return out
+def _boundary_data(lin, lam, v):
+    """(I, b) with I = exp_integral(v, lam) and b(lambda) = v(0) + A[I]."""
+    integral = exp_integral(v, lam)
+    return integral, v.eval(0.0) + apply_linearization(lin, integral)
 
 
-def resolvent_apply(lin, lam, v):
-    """R(lambda) v: x(theta) = e^{lam theta} x0 + I(theta), closed form.
-
-    x0 = Delta(lambda)^{-1} [v(0) + A[I]]; errors if lambda is (numerically)
-    a characteristic root.
-    """
+def _resolvent_x0(lin, lam, v):
+    """(Delta(lambda)^{-1} b(lambda), I); refuses a (numerical) characteristic root."""
     D = char_matrix(lin, lam)
     if _nullity(D) > 0:
         raise NumericalError(f"resolvent undefined: lambda={lam:.6g} is a characteristic root")
-    integral = exp_integral(v, lam)
-    rhs = v.eval(0.0) + apply_linearization(lin, integral)
-    x0 = np.linalg.solve(D, rhs)
+    integral, rhs = _boundary_data(lin, lam, v)
+    return np.linalg.solve(D, rhs), integral
+
+
+def resolvent_apply(lin, lam, v):
+    """R(lambda) v: x(theta) = e^{lam theta} x0 + I(theta) in closed form, with
+    x0 = Delta(lambda)^{-1} [v(0) + A[I]]; errors if lambda is a characteristic root."""
+    x0, integral = _resolvent_x0(lin, lam, v)
     return combine(1.0, ExpPoly.exponential(x0, lam), 1.0, integral)
 
 
@@ -353,8 +356,7 @@ def adjoint_coordinate(lin, lam, p_row, v):
     p Delta'(lam) q = 1 normalization; equivalently the adjoint-eigenvector
     pairing written with integrals over [0, tau_j].
     """
-    integral = exp_integral(v, lam)
-    return p_row @ (v.eval(0.0) + apply_linearization(lin, integral))
+    return p_row @ _boundary_data(lin, lam, v)[1]
 
 
 def hopf_coordinates(lin, eig, v):
@@ -364,10 +366,8 @@ def hopf_coordinates(lin, eig, v):
     return c1, c2
 
 
-def _root_pool(lin, around, re_cutoff=None):
+def _root_pool(lin, around):
     cut = max(2.0, 2.0 * max(abs(z) for z in around))
-    if re_cutoff is not None:
-        cut = max(cut, re_cutoff)
     try:
         roots = characteristic_roots(lin, count=12, re_cutoff=cut)
     except NumericalError:
@@ -375,55 +375,44 @@ def _root_pool(lin, around, re_cutoff=None):
     return [z for z, _ in roots]
 
 
-def spectral_projection(lin, critical, v, m_nodes=64, radius=None, check=True):
-    """P_c v by trapezoid contour quadrature around each critical root.
+def spectral_projection(lin, critical, v, radius=None):
+    """P_c v = sum over the critical roots z of e^{z theta} sum_k M_k theta^k / k!.
 
-    critical: the enclosed (simple) roots. The default radius for each root
-    is half its distance to the nearest other root. When all critical
-    roots are simple the quadrature is cross-checked against the residue
-    formula; disagreement signals a contour enclosing extra roots.
+    M_k = (1/2 pi i) oint (lam - z)^k Delta(lam)^{-1} b(lam) dlam are the
+    contour moments (Beyn, Linear Algebra Appl. 436, 2012), by the trapezoid
+    rule on 64 nodes of a circle around z whose default radius is half the
+    distance to the nearest other root. The resolvent's I_lam v part is
+    entire in lam and integrates to zero. A simple root keeps M_0 only, any
+    other root its moments up to the first negligible one (its Jordan
+    chain). A later moment with |M_k| span^k / k! > 1e-6 (1 + |M_0|) means
+    the contour encloses extra roots.
     """
     critical = [complex(z) for z in critical]
     if radius is None:
-        pool = _root_pool(lin, critical)
+        others = _root_pool(lin, critical) + critical
         radii = []
         for z in critical:
-            others = [w for w in pool if abs(w - z) > 1e-8] + [
-                w for w in critical if w is not z and abs(w - z) > 1e-8
-            ]
-            if not others:
-                radii.append(0.5)
-            else:
-                radii.append(0.5 * min(abs(w - z) for w in others))
-        radii = [max(r, 1e-3) for r in radii]
+            gap = min((abs(w - z) for w in others if abs(w - z) > 1e-8), default=1.0)
+            radii.append(max(0.5 * gap, 1e-3))
     else:
         radii = [float(radius)] * len(critical)
 
-    result = ExpPoly.zero(v.dim)
+    span = lin.tau_span if lin.tau_span > 0 else 1.0
+    nodes = np.exp(2j * pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES)
+    terms = []
     for z, rho in zip(critical, radii):
-        for s in range(m_nodes):
-            t = 2.0 * pi * s / m_nodes
-            node = np.exp(1j * t)
-            lam = z + rho * node
-            contrib = resolvent_apply(lin, lam, v)
-            result = combine(1.0, result, rho * node / m_nodes, contrib)
-
-    if check:
-        simple = all(_nullity(char_matrix(lin, z)) == 1 for z in critical)
-        if simple:
-            residue = ExpPoly.zero(v.dim)
-            for z in critical:
-                q, p = _null_vectors(char_matrix(lin, z))
-                p = p / (p @ char_matrix_deriv(lin, z) @ q)
-                coord = adjoint_coordinate(lin, z, p, v)
-                residue = combine(1.0, residue, 1.0, ExpPoly.exponential(coord * q, z))
-            span = lin.tau_span if lin.tau_span > 0 else 1.0
-            grid = np.linspace(-span, 0.0, 33)
-            diff = max(float(np.max(np.abs(result.eval(t) - residue.eval(t)))) for t in grid)
-            scale = 1.0 + max(float(np.max(np.abs(residue.eval(t)))) for t in grid)
-            if diff > 1e-6 * scale:
-                raise NumericalError(
-                    "contour projection disagrees with the residue formula "
-                    f"(diff {diff:.2e}); the contour likely encloses extra roots"
-                )
-    return result
+        offsets = rho * nodes
+        x0 = np.array([_resolvent_x0(lin, z + h, v)[0] for h in offsets])
+        moments = [np.mean(offsets[:, None] ** (k + 1) * x0, axis=0) for k in range(_MOMENTS)]
+        sizes = [np.max(np.abs(mk)) * span**k / factorial(k) for k, mk in enumerate(moments)]
+        tol = _MOMENT_TOL * (1.0 + sizes[0])
+        D = char_matrix(lin, z)
+        q, p = _null_vectors(D)
+        simple = _nullity(D) == 1 and abs(p @ char_matrix_deriv(lin, z) @ q) > _NULLITY_TOL
+        keep = 1 if simple else next((k for k in range(1, _MOMENTS) if sizes[k] <= tol), _MOMENTS)
+        late = max(sizes[keep:], default=sizes[-1])
+        if late > tol:
+            raise NumericalError(f"a contour moment around {z:.6g} does not vanish ({late:.2e}); "
+                                 "the contour likely encloses extra roots")
+        terms += [(moments[k] / factorial(k), k, z) for k in range(keep)]
+    return ExpPoly(v.dim, terms)

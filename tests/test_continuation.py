@@ -358,6 +358,7 @@ class TestArclengthStepper:
 
     def test_hopf_event_roots_computed_once(self, scalar_model, monkeypatch):
         calls = _counting(monkeypatch, "characteristic_roots")
+        lin_calls = _counting(monkeypatch, "linearize")
         pts = continue_branch(
             scalar_model,
             {"p": -1.5},
@@ -370,6 +371,7 @@ class TestArclengthStepper:
         (event,) = [pt for pt in pts if pt.event == "HOPF"]
         assert event.omega == pytest.approx(1.0, abs=1e-6)
         assert sum(1 for (lin, *_) in calls if lin.params[0] == event.param) == 1
+        assert sum(1 for (_, params, _) in lin_calls if params[0] == event.param) == 1
 
     @pytest.mark.parametrize("direction", ["up", "Forward", ""])
     def test_unknown_direction_raises(self, scalar_model, poscontrol_model, poscontrol_ref,

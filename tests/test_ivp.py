@@ -58,6 +58,13 @@ class TestSimulate:
         with pytest.raises(SdddeError, match="beyond the trajectory end"):
             traj.tail_history(end)(0.01)
 
+    def test_t_end_must_be_whole_steps(self, linear_model, char_history):
+        _, hist = char_history
+        with pytest.raises(SdddeError, match="whole number of steps"):
+            simulate(linear_model, [], hist, t_end=1.0, step=0.3)  # would stop at 0.9
+        traj = simulate(linear_model, [], hist, t_end=0.9, step=0.3)
+        assert traj.t.size == 4 and traj.t[-1] == pytest.approx(0.9, rel=1e-12)
+
     def test_growth_and_decay_rates_match_roots(self, scalar_model):
         for dp in (-0.05, +0.05):
             p = np.array([-PI_2 + dp])

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sddde import DelayRangeError, ExpPoly, ModelError, parse_expr, parse_model, to_text
+from sddde import (
+    DelayRangeError,
+    ExpPoly,
+    ModelError,
+    NumericalError,
+    parse_expr,
+    parse_model,
+    solve_equilibrium,
+    to_text,
+)
 from sddde.model import Bin, Call, Neg, Num, Param, Pow, State
 
 SCALAR_SRC = """\
@@ -122,6 +131,24 @@ class TestEvalFunctional:
             scalar_model.eval_functional([1.0], np.array([1.0]))
         assert err.value.slot == 2
         assert err.value.value == pytest.approx(-1.0)
+
+    def test_math_errors_are_typed(self):
+        log_model = parse_model(
+            'name="logm"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\nrhs=["log(x1@1)"]\n'
+        )
+        with pytest.raises(NumericalError, match="^numerical failure: math domain error$"):
+            solve_equilibrium(log_model, [], np.array([-1.0]))
+        sqrt_delay = parse_model(
+            'name="sq"\ndim=1\nparameters=[]\ntau_max=2\n'
+            'delays=["0", "sqrt(x1@1)"]\nrhs=["0 - x1@2"]\n'
+        )
+        with pytest.raises(NumericalError, match="^numerical failure: math domain error$"):
+            sqrt_delay.eval_functional([], np.array([-1.0]))
+        overflow = parse_model(
+            'name="ov"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\nrhs=["exp(x1@1)"]\n'
+        )
+        with pytest.raises(NumericalError, match="^numerical failure: math range error$"):
+            overflow.equilibrium_residual([], [1e3])
 
 
 class TestEquilibriumHelpers:

@@ -222,3 +222,74 @@ class TestResolventProjection:
         v = self._test_function()
         with pytest.raises(NumericalError, match="extra roots"):
             spectral_projection(scalar_lin, [1j, -1j], v, radius=6.0)
+
+    def test_hopf_pair_projection_has_one_term_per_root(self, scalar_lin):
+        pv = spectral_projection(scalar_lin, [1j, -1j], self._test_function())
+        assert sorted((power, exponent.imag) for _, power, exponent in pv.terms) == [
+            (0, -1.0),
+            (0, 1.0),
+        ]
+
+
+def _two_by_two(A):
+    return Linearization((np.asarray(A, dtype=float),), (0.0,), np.zeros(0), np.zeros(2))
+
+
+def _plane_direction():
+    return combine(
+        1.0,
+        ExpPoly.exponential([0.7 - 0.2j, 0.3], 0.3 + 0.9j),
+        1.0,
+        ExpPoly.exponential([0.1 + 0.4j, -0.5], -0.2, power=1),
+    )
+
+
+def _quadrature_reference(lin, z, v, rho=0.5, nodes=64):
+    """P_c v as the trapezoid sum of the resolvent ExpPolys on |lam - z| = rho
+    (0.5 is the default radius when no other root is near)."""
+    out = ExpPoly.zero(v.dim)
+    for s in range(nodes):
+        w = np.exp(2j * np.pi * s / nodes)
+        out = combine(1.0, out, rho * w / nodes, resolvent_apply(lin, z + rho * w, v))
+    return out
+
+
+class TestNonSimpleProjection:
+    GRID = np.linspace(-1.0, 0.0, 11)
+
+    def _gap(self, f, g):
+        return max(float(np.max(np.abs(f.eval(t) - g.eval(t)))) for t in self.GRID)
+
+    def test_jordan_block_keeps_its_chain(self):
+        a = -0.3
+        lin = _two_by_two([[a, 1.0], [0.0, a]])
+        v = _plane_direction()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the root pool finds only one root
+            warnings.simplefilter("error", RuntimeWarning)
+            pv = spectral_projection(lin, [a], v)
+            ppv = spectral_projection(lin, [a], pv)
+        assert [(power, exponent) for _, power, exponent in pv.terms] == [(0, a), (1, a)]
+        assert self._gap(pv, _quadrature_reference(lin, a, v)) < 1e-13
+        assert self._gap(ppv, pv) < 1e-13
+        # P_c v = exp(A theta) v(0) for the ODE x' = A x
+        assert np.allclose(pv.terms[1][0], [v.eval(0.0)[1], 0.0], atol=1e-14)
+
+    def test_semisimple_root_gives_one_term(self):
+        a = -0.3
+        lin = _two_by_two(a * np.eye(2))
+        v = _plane_direction()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            pv = spectral_projection(lin, [a], v)
+        assert len(pv.terms) == 1
+        assert np.allclose(pv.terms[0][0], v.eval(0.0), atol=1e-14)
+        assert self._gap(pv, _quadrature_reference(lin, a, v)) < 1e-13
+
+    def test_jordan_contour_enclosing_another_root_detected(self):
+        a = -0.3
+        A = np.array([[a, 1.0, 0.0], [0.0, a, 0.0], [0.0, 0.0, a + 1.5]])
+        lin = Linearization((A,), (0.0,), np.zeros(0), np.zeros(3))
+        v = ExpPoly.exponential([0.7 - 0.2j, 0.3, 0.5], 0.3 + 0.9j)
+        with pytest.raises(NumericalError, match="extra roots"):
+            spectral_projection(lin, [a], v, radius=2.0)
