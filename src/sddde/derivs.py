@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import SdddeError
 from .histfun import ExpPoly, combine, sup_norm
-from .model import as_history
 
 MAX_ORDER = 5
 

@@ -1,10 +1,10 @@
 """Method-of-steps initial-value solver, used as a dynamical oracle.
 
-Fixed-step classical RK4; delayed values come from cubic-Hermite dense
-output over completed steps (value and derivative stored per node). When
-an evaluated delay is shorter than the step the stage values are resolved
-by a small number of fixed-point sweeps over a tentative interpolant for
-the current step.
+Fixed-step classical RK4 on Python floats; delayed values come from
+cubic-Hermite dense output over completed steps (value and derivative per
+node, kept as float lists and returned as arrays). When an evaluated delay
+is shorter than the step the stage values are resolved by a small number
+of fixed-point sweeps over a tentative interpolant for the current step.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SdddeError
-from .model import as_history
+from .model import as_history, history_floats
 
 _SWEEP_LIMIT = 5
 _SWEEP_TOL = 1e-12
@@ -41,7 +41,7 @@ class Trajectory:
             return self.y[near].copy()
         if time > self.t[-1]:
             raise SdddeError(f"time {time:.6g} is beyond the trajectory end {self.t[-1]:.6g}")
-        return _interpolate(self.y, self.yp, self.step, time)
+        return np.array(_interpolate(self.y, self.yp, self.step, time))
 
     def tail_history(self, at_time):
         """History callable u_{at_time}(theta) for restarting a simulation."""
@@ -60,14 +60,11 @@ def _interpolate(y, yp, h, time):
 
 
 def _hermite(y0, m0, y1, m1, s, h):
+    """Cubic Hermite on [0, h] at s in [0, 1], componentwise; a list of floats."""
     s2 = s * s
     s3 = s2 * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * h * m0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * h * m1
-    )
+    a, b, c, d = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h
+    return [a * v0 + b * d0 + c * v1 + d * d1 for v0, d0, v1, d1 in zip(y0, m0, y1, m1)]
 
 
 class _DenseState:
@@ -76,15 +73,14 @@ class _DenseState:
     def __init__(self, history, step):
         self.history = history
         self.h = step
-        self.t = [0.0]
-        self.y = []
+        self.y = []               # node values and slopes, lists of floats
         self.yp = []
         self.tentative = None     # (y_next, yp_next) during the current step
         self.used_tentative = False
 
     def value(self, time):
         if time <= 0.0:
-            return np.asarray(self.history(time), dtype=float)
+            return self.history(time)
         h = self.h
         k = len(self.y) - 1      # completed steps span [0, k*h]
         if int(time / h) < k:
@@ -92,9 +88,8 @@ class _DenseState:
         if self.tentative is None:
             raise SdddeError("history query beyond computed trajectory")
         self.used_tentative = True
-        y1, m1 = self.tentative
         s = (time - k * h) / h
-        return _hermite(self.y[k], self.yp[k], y1, m1, min(s, 1.0), h)
+        return _hermite(self.y[k], self.yp[k], *self.tentative, min(s, 1.0), h)
 
 
 def simulate(model, params, history, t_end, step, tau_max=None):
@@ -109,7 +104,7 @@ def simulate(model, params, history, t_end, step, tau_max=None):
         raise SdddeError("step must be positive")
     params = np.asarray(params, dtype=float)
     hist = as_history(history, model.n)
-    x0 = np.asarray(hist(0.0), dtype=float)
+    x0 = history_floats(hist(0.0), model.n)
     if tau_max is None:
         tau_max = model.resolve_tau_max(params, x0)
 
@@ -128,7 +123,7 @@ def simulate(model, params, history, t_end, step, tau_max=None):
                 return y_cur
             return dense.value(t_abs + theta)
 
-        return model.eval_functional(params, u, tau_max=tau_max)
+        return model.eval_functional(params, u, tau_max=tau_max).tolist()
 
     dense.yp.append(rhs(0.0, x0))
 
@@ -137,39 +132,35 @@ def simulate(model, params, history, t_end, step, tau_max=None):
         t0 = k * h
         y0 = dense.y[-1]
         f0 = dense.yp[-1]
-        y_next = y0.copy()
-        m_next = f0.copy()
-        converged = False
+        y_next, m_next = y0, f0
         for _ in range(_SWEEP_LIMIT):
             dense.tentative = (y_next, m_next)
             dense.used_tentative = False
             k1 = f0
-            k2 = rhs(t0 + h / 2, y0 + (h / 2) * k1)
-            k3 = rhs(t0 + h / 2, y0 + (h / 2) * k2)
-            k4 = rhs(t0 + h, y0 + h * k3)
-            y_new = y0 + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k2 = rhs(t0 + h / 2, [a + (h / 2) * b for a, b in zip(y0, k1)])
+            k3 = rhs(t0 + h / 2, [a + (h / 2) * b for a, b in zip(y0, k2)])
+            k4 = rhs(t0 + h, [a + h * b for a, b in zip(y0, k3)])
+            y_new = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
             m_new = rhs(t0 + h, y_new)
-            delta = max(
-                float(np.max(np.abs(y_new - y_next))), float(np.max(np.abs(m_new - m_next)))
+            settled = not dense.used_tentative or all(  # a NaN never settles
+                abs(a - b) <= _SWEEP_TOL for a, b in zip(y_new + m_new, y_next + m_next)
             )
-            needed_sweep = dense.used_tentative
             y_next, m_next = y_new, m_new
-            if not needed_sweep or delta <= _SWEEP_TOL:
-                converged = True
+            if settled:
                 break
-        if not converged:
+        else:
             raise ConvergenceError(
                 f"fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}"
             )
         dense.tentative = None
-        dense.t.append((k + 1) * h)
         dense.y.append(y_next)
         dense.yp.append(m_next)
 
     return Trajectory(
-        t=np.array(dense.t),
-        y=np.vstack(dense.y),
-        yp=np.vstack(dense.yp),
+        t=np.arange(nsteps + 1) * h,
+        y=np.array(dense.y),
+        yp=np.array(dense.yp),
         history=hist,
         step=step,
     )

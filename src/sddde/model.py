@@ -285,18 +285,20 @@ def _render(node, parent_prec):
 
 
 # ---------------------------------------------------------------------------
-# compilation to python callables
+# compilation to python functions on floats
 
 _FUNC_SRC = {name: f"math.{name}" for name in FUNCTIONS}
+_MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def _emit(node):
+    """Python source of one expression: P[k] for parameter k, x<i>_<j> for x<i>@<j>."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Param):
         return f"P[{node.index}]"
     if isinstance(node, State):
-        return f"X[{node.comp - 1}][{node.slot - 1}]"
+        return f"x{node.comp}_{node.slot}"
     if isinstance(node, Neg):
         return f"(-{_emit(node.arg)})"
     if isinstance(node, Pow):
@@ -308,17 +310,56 @@ def _emit(node):
     raise ModelError(f"cannot compile node {node!r}")
 
 
+def _compile(args, body):
+    """Define ``f(args)`` from generated body lines (built from the validated AST only)."""
+    namespace = {"math": math, "_checked_delay": _checked_delay, "history_floats": history_floats}
+    exec(f"def f({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["f"]
+
+
 def compile_expr(node):
-    src = f"lambda X, P: {_emit(node)}"
-    return eval(src, {"math": math})  # generated from the validated AST only
+    """Callable (X, P) -> value of one expression; X[i][j] holds x<i+1>@<j+1>."""
+    refs = sorted({(r.comp, r.slot) for r in _walk(node) if isinstance(r, State)})
+    body = [f"x{c}_{s} = X[{c - 1}][{s - 1}]" for c, s in refs]
+    return _compile("X, P", body + [f"return {_emit(node)}"])
+
+
+def _compile_functional(n, delay_exprs, rhs_exprs):
+    """f(P, hist, tau_max, x0) -> F(u): delays left to right, each checked and clamped."""
+    def slot(j):
+        return "".join(f"x{i}_{j}, " for i in range(1, n + 1))
+
+    body = [f"{slot(1)}= x0"] + [
+        f"{slot(j)}= history_floats(hist(-_checked_delay({j}, {_emit(e)}, tau_max)), {n})"
+        for j, e in enumerate(delay_exprs[1:], start=2)
+    ]
+    rhs = ", ".join(map(_emit, rhs_exprs))
+    return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
+
+
+def _checked_delay(j, tau, tau_max):
+    """Delay of slot j clamped to [0, tau_max]; DelayRangeError beyond roundoff."""
+    if tau < -1e-12 or tau > tau_max + 1e-12:
+        raise DelayRangeError(j, tau, tau_max)
+    return min(max(tau, 0.0), tau_max)
 
 
 # ---------------------------------------------------------------------------
 # model
 
 
+def history_floats(value, n):
+    """One history value as n Python floats; a list of length n is taken as it is."""
+    if type(value) is not list or len(value) != n:
+        value = np.asarray(value, dtype=float)
+        if value.shape != (n,):
+            raise ModelError(f"history value has shape {value.shape}, expected ({n},)")
+        value = value.tolist()
+    return value
+
+
 def as_history(u, dim):
-    """Normalize a history argument to a callable theta -> float vector."""
+    """Normalize a history argument to a callable theta -> state vector."""
     if callable(u) and not hasattr(u, "eval_real"):
         return u
     if hasattr(u, "eval_real"):
@@ -326,7 +367,8 @@ def as_history(u, dim):
     const = np.atleast_1d(np.asarray(u, dtype=float))
     if const.shape != (dim,):
         raise ModelError(f"constant history has shape {const.shape}, expected ({dim},)")
-    return lambda theta: const
+    values = const.tolist()
+    return lambda theta: values
 
 
 class Model:
@@ -352,21 +394,26 @@ class Model:
             raise ModelError("tau_max must be positive")
         self._delay_fns = tuple(compile_expr(e) for e in delay_exprs)
         self._rhs_fns = tuple(compile_expr(e) for e in rhs_exprs)
+        self._functional = _compile_functional(n, delay_exprs, rhs_exprs)
 
     # -- raw coefficient evaluation ------------------------------------
 
     def eval_rhs(self, xmat, params):
         """f(x^1..x^m, p) for an (n, m) slot matrix; math errors raise NumericalError."""
+        X = np.asarray(xmat, dtype=float).tolist()
+        P = np.asarray(params, dtype=float).tolist()
         try:
-            return np.array([fn(xmat, params) for fn in self._rhs_fns], dtype=float)
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            return np.array([fn(X, P) for fn in self._rhs_fns], dtype=float)
+        except _MATH_ERRORS as err:
             raise NumericalError(f"numerical failure: {err}") from err
 
     def eval_delay(self, j, xmat, params):
         """Delay of slot j (1-based); math errors raise NumericalError."""
+        X = np.asarray(xmat, dtype=float).tolist()
+        P = np.asarray(params, dtype=float).tolist()
         try:
-            return float(self._delay_fns[j - 1](xmat, params))
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            return self._delay_fns[j - 1](X, P)
+        except _MATH_ERRORS as err:
             raise NumericalError(f"numerical failure: {err}") from err
 
     # -- functional ------------------------------------------------------
@@ -376,53 +423,41 @@ class Model:
 
         Delays are evaluated left to right and checked against
         [0, tau_max]; tau_max=None resolves via :meth:`resolve_tau_max`
-        at the base point u(0).
+        at u(0). Each u^j must have n components (else ModelError).
         """
-        params = np.asarray(params, dtype=float)
+        P = np.asarray(params, dtype=float).tolist()
         hist = as_history(u, self.n)
-        x0 = np.asarray(hist(0.0), dtype=float)
+        x0 = history_floats(hist(0.0), self.n)
         if tau_max is None:
-            tau_max = self.resolve_tau_max(params, x0)
-        X = np.full((self.n, self.m), np.nan)
-        X[:, 0] = x0
-        for j in range(2, self.m + 1):
-            tau = self._checked_delay(j, X, params, tau_max)
-            X[:, j - 1] = hist(-tau)
-        return self.eval_rhs(X, params)
+            tau_max = self.resolve_tau_max(P, x0)
+        try:
+            return np.array(self._functional(P, hist, tau_max, x0), dtype=float)
+        except _MATH_ERRORS as err:
+            raise NumericalError(f"numerical failure: {err}") from err
 
-    def _checked_delay(self, j, xmat, params, tau_max):
-        tau = self.eval_delay(j, xmat, params)
-        if tau < -1e-12 or tau > tau_max + 1e-12:
-            raise DelayRangeError(j, tau, tau_max)
-        return min(max(tau, 0.0), tau_max)
+    def _frozen(self, x):  # slot matrix with every slot at x
+        return [[v] * self.m for v in np.asarray(x, dtype=float).tolist()]
 
     # -- equilibrium helpers ----------------------------------------------
 
     def equilibrium_residual(self, params, x):
         """f(x, ..., x, p): zero exactly at equilibria."""
-        params = np.asarray(params, dtype=float)
-        x = np.asarray(x, dtype=float)
-        X = np.tile(x[:, None], (1, self.m))
-        return self.eval_rhs(X, params)
+        return self.eval_rhs(self._frozen(x), params)
 
     def frozen_delays(self, params, x, tau_max=None):
         """All delays evaluated with every slot frozen at x."""
-        params = np.asarray(params, dtype=float)
-        x = np.asarray(x, dtype=float)
-        X = np.tile(x[:, None], (1, self.m))
         if tau_max is None:
             tau_max = self.resolve_tau_max(params, x)
-        return np.array(
-            [0.0] + [self._checked_delay(j, X, params, tau_max) for j in range(2, self.m + 1)]
-        )
+        X = self._frozen(x)
+        return np.array([0.0] + [
+            _checked_delay(j, self.eval_delay(j, X, params), tau_max) for j in range(2, self.m + 1)
+        ])
 
     def resolve_tau_max(self, params, x):
         """Declared tau_max, else a margin over the max frozen delay at x."""
         if self.declared_tau_max is not None:
             return self.declared_tau_max
-        params = np.asarray(params, dtype=float)
-        x = np.asarray(x, dtype=float)
-        X = np.tile(x[:, None], (1, self.m))
+        X = self._frozen(x)
         taus = [self.eval_delay(j, X, params) for j in range(2, self.m + 1)]
         for j, tau in enumerate(taus, start=2):
             if tau < -1e-12:

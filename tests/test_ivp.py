@@ -1,8 +1,12 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 import scipy.special
 
 from sddde import (
+    ConvergenceError,
     ExpPoly,
     SdddeError,
     characteristic_roots,
@@ -16,6 +20,17 @@ PI_2 = np.pi / 2
 
 LINEAR_SRC = 'name="lin"\ndim=1\nparameters=[]\ntau_max=2\ndelays=["0","1"]\nrhs=["0 - x1@2"]\n'
 SHORT_DELAY_SRC = 'name="sd"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0","0.005"]\nrhs=["0 - x1@2"]\n'
+SWEEP_SRC = 'name="sw"\ndim=1\nparameters=["a"]\ntau_max=1\ndelays=["0","0.05"]\nrhs=["0 - a*x1@2"]\n'
+
+# sha256 of simulate's y and yp as little-endian float64 bytes. Models,
+# histories and the solver use only + - * / here (no libm call), so the
+# bytes are the same on any IEEE-754 platform.
+GOLDEN = {
+    ("scalar_nested", -0.05, 0.02): "61fc33992950301a5eb264f97ae876cdc9fcbaa33e974fef0345c31af6bfc7c5",
+    ("scalar_nested", +0.05, 0.02): "e794d701520093cfc8ec1c78e52c22a989fefe1c02c65488d62178df4ba2003c",
+    ("position_control", None, 0.05): "c2c3cc11ecbf33ad48ff4466bbc84e5cdab550fe91714ebc170ca00f6a5e97b1",
+    ("position_control", None, 1.0): "dbad1aa4a3c7accd8d4bf45917fcc5922a1a885ab8b25282575ecbaa32840918",
+}
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +45,20 @@ def char_history():
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("key", list(GOLDEN))
+    def test_trajectory_bytes_are_pinned(self, key, scalar_model, poscontrol_model, poscontrol_ref):
+        name, dp, step = key
+        if name == "scalar_nested":
+            p = -math.pi / 2 + dp
+            hist = lambda th: np.array([p + 0.01 * (1.0 + th * (2.0 + th))])  # noqa: E731
+            traj = simulate(scalar_model, [p], hist, t_end=20.0, step=step)
+        else:  # at step 1.0 = tau0 the fixed-point sweeps run at every step
+            params = poscontrol_model.params_from(poscontrol_ref)
+            hist = lambda th: np.array([3.7 + 0.1 * th, 4.2 - 0.02 * th])  # noqa: E731
+            traj = simulate(poscontrol_model, params, hist, t_end=20.0, step=step)
+        data = traj.y.astype("<f8").tobytes() + traj.yp.astype("<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN[key]
+
     def test_equilibrium_invariance(self, scalar_model):
         traj = simulate(scalar_model, [-PI_2], np.array([-PI_2]), t_end=5.0, step=0.01)
         assert np.max(np.abs(traj.y - (-PI_2))) <= 1e-12
@@ -117,3 +146,10 @@ class TestSimulate:
         coarse = simulate(m, [], np.array([1.0]), t_end=1.0, step=0.01)
         fine = simulate(m, [], np.array([1.0]), t_end=1.0, step=0.00125)
         assert coarse.y[-1][0] == pytest.approx(fine.y[-1][0], abs=1e-5)
+
+    def test_sweeps_that_do_not_settle_raise(self):
+        # x' = -x(t - 0.05) with step 0.1: the five sweeps over the tentative
+        # step do not reach the 1e-12 tolerance at the first step
+        m = parse_model(SWEEP_SRC)
+        with pytest.raises(ConvergenceError, match="did not settle at t=0.1$"):
+            simulate(m, [1.0], np.array([1.0]), t_end=1.0, step=0.1)

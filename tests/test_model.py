@@ -1,3 +1,6 @@
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,11 @@ from sddde import (
     NumericalError,
     parse_expr,
     parse_model,
+    simulate,
     solve_equilibrium,
     to_text,
 )
-from sddde.model import Bin, Call, Neg, Num, Param, Pow, State
+from sddde.model import FUNCTIONS, Bin, Call, Model, Neg, Num, Param, Pow, State
 
 SCALAR_SRC = """\
 name = "scalar_nested"
@@ -149,6 +153,34 @@ class TestEvalFunctional:
         )
         with pytest.raises(NumericalError, match="^numerical failure: math range error$"):
             overflow.equilibrium_residual([], [1e3])
+        zero_div = "^numerical failure: float division by zero$"
+        inverse = parse_model(
+            'name="inv"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\nrhs=["1/x1@1"]\n'
+        )
+        with pytest.raises(NumericalError, match=zero_div):
+            inverse.eval_rhs(np.zeros((1, 1)), np.zeros(0))
+        with pytest.raises(NumericalError, match=zero_div):
+            inverse.eval_functional([], np.array([0.0]))
+        with pytest.raises(NumericalError, match=zero_div):
+            inverse.equilibrium_residual([], np.array([0.0]))
+        inverse_delay = parse_model(
+            'name="invd"\ndim=1\nparameters=[]\ntau_max=1\n'
+            'delays=["0", "1/x1@1"]\nrhs=["0 - x1@2"]\n'
+        )
+        with pytest.raises(NumericalError, match=zero_div):
+            inverse_delay.eval_functional([], np.array([0.0]))
+
+    def test_history_of_wrong_length_is_a_model_error(self, poscontrol_model, poscontrol_ref):
+        params = poscontrol_model.params_from(poscontrol_ref)
+        short = lambda theta: np.array([4.0])  # noqa: E731
+        long = lambda theta: np.array([4.0, 4.0, 4.0])  # noqa: E731
+        late = lambda theta: np.array([4.0, 4.0] if theta == 0.0 else [4.0])  # noqa: E731
+        for hist, got in ((short, 1), (long, 3), (late, 1)):
+            message = rf"^history value has shape \({got},\), expected \(2,\)$"
+            with pytest.raises(ModelError, match=message):
+                poscontrol_model.eval_functional(params, hist)
+            with pytest.raises(ModelError, match=message):
+                simulate(poscontrol_model, params, hist, t_end=1.0, step=0.5)
 
 
 class TestEquilibriumHelpers:
@@ -228,3 +260,97 @@ class TestRoundTrip:
         X = [[0.3, -0.8], [1.1, 0.25]]
         P = [1.7, -0.4]
         assert compile_expr(a)(X, P) == compile_expr(b)(X, P)
+
+
+# --- compiled functional against a tree-walking interpreter ------------------
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _interpret(node, P, X):
+    """One expression on Python floats with math; X maps (comp, slot) to a value."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Param):
+        return P[node.index]
+    if isinstance(node, State):
+        return X[node.comp, node.slot]
+    if isinstance(node, Neg):
+        return -_interpret(node.arg, P, X)
+    if isinstance(node, Pow):
+        return _interpret(node.base, P, X) ** node.power
+    if isinstance(node, Bin):
+        return _BINOPS[node.op](_interpret(node.left, P, X), _interpret(node.right, P, X))
+    return getattr(math, node.func)(_interpret(node.arg, P, X))
+
+
+def _interpret_functional(model, P, hist):
+    X = {}
+    for j, delay in enumerate(model.delay_exprs, start=1):
+        theta = 0.0 if j == 1 else -_interpret(delay, P, X)
+        for i, value in enumerate(hist(theta), start=1):
+            X[i, j] = value
+    return [_interpret(e, P, X) for e in model.rhs_exprs]
+
+
+def _outcome(evaluate, raw=False):
+    """Result bytes, or (error type, message); raw math errors read as the model's."""
+    try:
+        return np.array(evaluate(), dtype=float).tobytes()
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
+        if not raw:
+            raise
+        return "NumericalError", f"numerical failure: {err}"
+    except NumericalError as err:
+        return "NumericalError", str(err)
+
+
+def tree_st(slots):
+    """Expressions over parameters p, beta and x1, x2 at slots 1..slots."""
+    leaves = st.one_of(
+        st.floats(0.0, 10.0, allow_nan=False).map(Num),
+        st.sampled_from([Param("p", 0), Param("beta", 1)]),
+        st.builds(State, st.integers(1, 2), st.integers(1, slots)),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Bin, st.sampled_from("+-*/"), inner, inner),
+            st.builds(Neg, inner),
+            st.builds(Pow, inner, st.integers(-3, 3)),
+            st.builds(Call, st.sampled_from(FUNCTIONS), inner),
+        ),
+        max_leaves=8,
+    )
+
+
+def _in_unit_range(tree):
+    """A delay 0.5 + atan(tree)/3.2, inside [0, 1] (or NaN) whatever tree gives."""
+    return Bin("+", Num(0.5), Bin("/", Call("atan", tree), Num(3.2)))
+
+
+class TestCompiledFunctional:
+    @given(
+        d2=tree_st(1),
+        d3=tree_st(2),
+        r1=tree_st(3),
+        r2=tree_st(3),
+        P=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        c=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=300)
+    def test_matches_tree_walking_interpreter(self, d2, d3, r1, r2, P, c):
+        delays = [Num(0.0), _in_unit_range(d2), _in_unit_range(d3)]
+        model = Model("oracle", 2, ("p", "beta"), delays, [r1, r2], tau_max=1.0)
+
+        def hist(theta):
+            return [c[0] + c[1] * theta * theta, c[2] - c[3] * theta]
+
+        ours = _outcome(lambda: model.eval_functional(P, hist))
+        theirs = _outcome(lambda: _interpret_functional(model, P, hist), raw=True)
+        assert ours == theirs
+        x0 = hist(0.0)
+        frozen = {(i, j): x0[i - 1] for i in (1, 2) for j in (1, 2, 3)}
+        ours = _outcome(lambda: model.equilibrium_residual(P, x0))
+        theirs = _outcome(lambda: [_interpret(e, P, frozen) for e in (r1, r2)], raw=True)
+        assert ours == theirs
