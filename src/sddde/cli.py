@@ -149,8 +149,8 @@ def build_parser():
             help="parameter assignments, e.g. --par tau0=1,s0=4",
         )
         p.add_argument("--format", choices=("ndjson", "csv"), default="ndjson")
-        p.add_argument("--fd-step", type=float, default=5e-3, help="FD base step")
-        p.add_argument("--fd-richardson", type=int, default=2, help="FD Richardson levels")
+        p.add_argument("--deriv-radius", type=float, default=0.25, help="derivative circle radius")
+        p.add_argument("--deriv-levels", type=int, default=2, help="derivative node levels")
         p.add_argument("--cheb-nodes", type=int, default=32, help="pseudospectral seed nodes")
         p.add_argument("--root-count", type=int, default=6, help="characteristic roots to report")
         p.add_argument("--re-cutoff", type=float, default=2.0, help="root window Re >= -cutoff")
@@ -248,19 +248,26 @@ def _dispatch(args, writer):
     assignments = _parse_assignments(args.par)
     params = model.params_from(assignments)
     try:
-        deriv = DerivSettings(base_step=args.fd_step, richardson_levels=args.fd_richardson)
+        deriv = DerivSettings(radius=args.deriv_radius, levels=args.deriv_levels)
     except SdddeError as err:
         raise ModelError(str(err)) from None  # bad flag values are usage errors
     roots_cfg = RootSettings(
         count=args.root_count, re_cutoff=args.re_cutoff, cheb_nodes=args.cheb_nodes
     )
 
-    if args.command == "eq":
-        x = solve_equilibrium(model, params, _parse_vector(args.guess, model.n, "--guess"))
+    def equilibrium():
+        return solve_equilibrium(model, params, _parse_vector(args.guess, model.n, "--guess"))
+
+    if args.command in ("eq", "roots"):
+        x = equilibrium()
         lin = linearize(model, params, x)
         rts = characteristic_roots(
             lin, count=roots_cfg.count, re_cutoff=roots_cfg.re_cutoff, cheb_nodes=roots_cfg.cheb_nodes
         )
+        if args.command == "roots":
+            for lam, mult in rts:
+                writer.record("point", {"root": lam, "multiplicity": mult})
+            return 0
         writer.record(
             "result",
             {
@@ -272,18 +279,8 @@ def _dispatch(args, writer):
         )
         return 0
 
-    if args.command == "roots":
-        x = solve_equilibrium(model, params, _parse_vector(args.guess, model.n, "--guess"))
-        lin = linearize(model, params, x)
-        rts = characteristic_roots(
-            lin, count=roots_cfg.count, re_cutoff=roots_cfg.re_cutoff, cheb_nodes=roots_cfg.cheb_nodes
-        )
-        for lam, mult in rts:
-            writer.record("point", {"root": lam, "multiplicity": mult})
-        return 0
-
     if args.command == "hopf-nf":
-        x = solve_equilibrium(model, params, _parse_vector(args.guess, model.n, "--guess"))
+        x = equilibrium()
         nf = hopf_l1(model, params, x, args.omega_guess, settings=deriv)
         writer.record(
             "result",
@@ -301,7 +298,7 @@ def _dispatch(args, writer):
         return 0
 
     if args.command == "fold-nf":
-        x = solve_equilibrium(model, params, _parse_vector(args.guess, model.n, "--guess"))
+        x = equilibrium()
         a = fold_coefficient(model, params, x, settings=deriv)
         writer.record("result", {"a": a, "x": x})
         return 0
@@ -374,9 +371,7 @@ def _dispatch(args, writer):
         if args.history is not None:
             history = _parse_vector(args.history, model.n, "--history")
         else:
-            history = solve_equilibrium(
-                model, params, _parse_vector(args.guess, model.n, "--guess")
-            )
+            history = equilibrium()
         traj = simulate(model, params, history, args.t_end, args.step)
         for k in range(traj.t.size):
             writer.record("point", {"t": traj.t[k], "x": traj.y[k]})

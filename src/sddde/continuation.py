@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivs import DerivSettings
 from .errors import (
     ConvergenceError,
     DegenerateEigenvalueError,
@@ -397,9 +396,7 @@ def _hopf_residual(model, pvec_base, fidx1, fidx2, c_row, y, n):
     x = y[:n]
     q = y[n : 2 * n] + 1j * y[2 * n : 3 * n]
     omega = y[3 * n]
-    pv = pvec_base.copy()
-    pv[fidx1] = y[3 * n + 1]
-    pv[fidx2] = y[3 * n + 2]
+    pv = _with_param(pvec_base, [fidx1, fidx2], y[3 * n + 1 : 3 * n + 3])
     lin = linearize(model, pv, x, check_equilibrium=False)
     eqres = model.equilibrium_residual(pv, x)
     w = char_matrix(lin, 1j * omega) @ q
@@ -459,7 +456,6 @@ def continue_hopf_curve(
     direction is "both", "forward" (first free parameter increasing at the
     start) or "backward"; anything else raises ModelError.
     """
-    deriv_settings = deriv_settings or DerivSettings()
     f1, f2 = _free_indices(model, free_names)
     signs = _leg_signs(direction)
     pvec_base = model.params_from(assignments)
@@ -470,9 +466,7 @@ def continue_hopf_curve(
         return _hopf_residual(model, pvec_base, f1, f2, c_row, y, n)
 
     def curve_l1(y):
-        pv = pvec_base.copy()
-        pv[f1] = y[3 * n + 1]
-        pv[f2] = y[3 * n + 2]
+        pv = _with_param(pvec_base, [f1, f2], y[3 * n + 1 : 3 * n + 3])
         return hopf_l1(model, pv, y[:n], y[3 * n], settings=deriv_settings).L1
 
     def make_point(y, event=None, L1=None):
@@ -533,9 +527,7 @@ def _curve_leg(residual, make_point, y_start, sgn, step, n):
 
 
 def _simplicity_lost(model, pvec_base, f1, f2, y, n):
-    pv = pvec_base.copy()
-    pv[f1] = y[3 * n + 1]
-    pv[f2] = y[3 * n + 2]
+    pv = _with_param(pvec_base, [f1, f2], y[3 * n + 1 : 3 * n + 3])
     lin = linearize(model, pv, y[:n], check_equilibrium=False)
     s = np.linalg.svd(char_matrix(lin, 1j * y[3 * n]), compute_uv=False)
     return n > 1 and s[-2] < 1e-8 * max(s[0], 1.0)

@@ -102,6 +102,14 @@ class ExpPoly:
     def eval_real(self, theta):
         return self.eval(theta).real
 
+    def eval_many(self, theta):
+        """Exact values at an array of (complex) theta, shape (dim,) + theta.shape."""
+        theta = np.asarray(theta, dtype=complex)
+        out = np.zeros((self.dim,) + theta.shape, dtype=complex)
+        for coef, power, exponent in self.terms:
+            out += np.multiply.outer(coef, theta**power * np.exp(exponent * theta))
+        return out
+
     # -- calculus ------------------------------------------------------
 
     def derivative(self, order=1):
@@ -128,9 +136,6 @@ class ExpPoly:
     def real_part(self):
         """(f + conj(f)) / 2, exact on the term list."""
         return combine(0.5, self, 0.5, self.conjugate())
-
-    def imag_part(self):
-        return combine(-0.5j, self, 0.5j, self.conjugate())
 
     # -- arithmetic sugar ---------------------------------------------
 

@@ -285,13 +285,14 @@ def _render(node, parent_prec):
 
 
 # ---------------------------------------------------------------------------
-# compilation to python functions on floats
+# compilation to straight-line python: floats, or arrays of complex nodes
 
-_FUNC_SRC = {name: f"math.{name}" for name in FUNCTIONS}
+_MATH_FUNCS = {name: f"math.{name}" for name in FUNCTIONS}
+_NUMPY_FUNCS = {**{name: f"np.{name}" for name in FUNCTIONS}, "atan": "np.arctan"}
 _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _emit(node):
+def _emit(node, funcs=_MATH_FUNCS):
     """Python source of one expression: P[k] for parameter k, x<i>_<j> for x<i>@<j>."""
     if isinstance(node, Num):
         return repr(node.value)
@@ -300,19 +301,20 @@ def _emit(node):
     if isinstance(node, State):
         return f"x{node.comp}_{node.slot}"
     if isinstance(node, Neg):
-        return f"(-{_emit(node.arg)})"
+        return f"(-{_emit(node.arg, funcs)})"
     if isinstance(node, Pow):
-        return f"({_emit(node.base)})**({node.power})"
+        return f"({_emit(node.base, funcs)})**({node.power})"
     if isinstance(node, Bin):
-        return f"({_emit(node.left)} {node.op} {_emit(node.right)})"
+        return f"({_emit(node.left, funcs)} {node.op} {_emit(node.right, funcs)})"
     if isinstance(node, Call):
-        return f"{_FUNC_SRC[node.func]}({_emit(node.arg)})"
+        return f"{funcs[node.func]}({_emit(node.arg, funcs)})"
     raise ModelError(f"cannot compile node {node!r}")
 
 
 def _compile(args, body):
     """Define ``f(args)`` from generated body lines (built from the validated AST only)."""
-    namespace = {"math": math, "_checked_delay": _checked_delay, "history_floats": history_floats}
+    namespace = {"math": math, "np": np, "history_floats": history_floats,
+                 "_checked_delay": _checked_delay, "_complex_delay": _complex_delay}
     exec(f"def f({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
     return namespace["f"]
 
@@ -324,16 +326,25 @@ def compile_expr(node):
     return _compile("X, P", body + [f"return {_emit(node)}"])
 
 
-def _compile_functional(n, delay_exprs, rhs_exprs):
-    """f(P, hist, tau_max, x0) -> F(u): delays left to right, each checked and clamped."""
+def _compile_functional(n, delay_exprs, rhs_exprs, nodes=False):
+    """f(P, hist, tau_max, x0) -> F(u): delays left to right, each checked.
+
+    On floats each delay is clamped into [0, tau_max] and hist(theta) read as
+    n floats; with nodes=True numpy runs it on arrays of complex node values.
+    """
     def slot(j):
         return "".join(f"x{i}_{j}, " for i in range(1, n + 1))
 
+    if nodes:
+        funcs, read = _NUMPY_FUNCS, "hist(-_complex_delay({j}, {tau}, tau_max))"
+    else:
+        funcs = _MATH_FUNCS
+        read = "history_floats(hist(-_checked_delay({j}, {tau}, tau_max)), {n})"
     body = [f"{slot(1)}= x0"] + [
-        f"{slot(j)}= history_floats(hist(-_checked_delay({j}, {_emit(e)}, tau_max)), {n})"
+        f"{slot(j)}= " + read.format(j=j, tau=_emit(e, funcs), n=n)
         for j, e in enumerate(delay_exprs[1:], start=2)
     ]
-    rhs = ", ".join(map(_emit, rhs_exprs))
+    rhs = ", ".join(_emit(e, funcs) for e in rhs_exprs)
     return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
 
 
@@ -344,30 +355,40 @@ def _checked_delay(j, tau, tau_max):
     return min(max(tau, 0.0), tau_max)
 
 
+def _complex_delay(j, tau, tau_max):
+    """Delays of slot j as they are; DelayRangeError when a Re tau leaves [0, tau_max]."""
+    re = np.real(tau)
+    for value in (np.min(re), np.max(re)):
+        _checked_delay(j, float(value), tau_max)
+    return tau
+
+
 # ---------------------------------------------------------------------------
 # model
+
+
+def _floats(values, shape, what):
+    """values as (nested) lists of Python floats; ModelError unless of the given shape."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ModelError(f"{what} has shape {values.shape}, expected {shape}")
+    return values.tolist()
 
 
 def history_floats(value, n):
     """One history value as n Python floats; a list of length n is taken as it is."""
     if type(value) is not list or len(value) != n:
-        value = np.asarray(value, dtype=float)
-        if value.shape != (n,):
-            raise ModelError(f"history value has shape {value.shape}, expected ({n},)")
-        value = value.tolist()
+        value = _floats(value, (n,), "history value")
     return value
 
 
 def as_history(u, dim):
     """Normalize a history argument to a callable theta -> state vector."""
-    if callable(u) and not hasattr(u, "eval_real"):
-        return u
     if hasattr(u, "eval_real"):
         return u.eval_real
-    const = np.atleast_1d(np.asarray(u, dtype=float))
-    if const.shape != (dim,):
-        raise ModelError(f"constant history has shape {const.shape}, expected ({dim},)")
-    values = const.tolist()
+    if callable(u):
+        return u
+    values = _floats(np.atleast_1d(u), (dim,), "constant history")
     return lambda theta: values
 
 
@@ -395,13 +416,14 @@ class Model:
         self._delay_fns = tuple(compile_expr(e) for e in delay_exprs)
         self._rhs_fns = tuple(compile_expr(e) for e in rhs_exprs)
         self._functional = _compile_functional(n, delay_exprs, rhs_exprs)
+        self._on_nodes = _compile_functional(n, delay_exprs, rhs_exprs, nodes=True)
 
     # -- raw coefficient evaluation ------------------------------------
 
     def eval_rhs(self, xmat, params):
         """f(x^1..x^m, p) for an (n, m) slot matrix; math errors raise NumericalError."""
-        X = np.asarray(xmat, dtype=float).tolist()
-        P = np.asarray(params, dtype=float).tolist()
+        X = _floats(xmat, (self.n, self.m), "slot matrix")
+        P = _floats(params, (self.n_p,), "parameter vector")
         try:
             return np.array([fn(X, P) for fn in self._rhs_fns], dtype=float)
         except _MATH_ERRORS as err:
@@ -409,8 +431,8 @@ class Model:
 
     def eval_delay(self, j, xmat, params):
         """Delay of slot j (1-based); math errors raise NumericalError."""
-        X = np.asarray(xmat, dtype=float).tolist()
-        P = np.asarray(params, dtype=float).tolist()
+        X = _floats(xmat, (self.n, self.m), "slot matrix")
+        P = _floats(params, (self.n_p,), "parameter vector")
         try:
             return self._delay_fns[j - 1](X, P)
         except _MATH_ERRORS as err:
@@ -426,6 +448,8 @@ class Model:
         at u(0). Each u^j must have n components (else ModelError).
         """
         P = np.asarray(params, dtype=float).tolist()
+        if type(P) is not list or len(P) != self.n_p:  # the IVP's hot path: check cheaply
+            _floats(params, (self.n_p,), "parameter vector")
         hist = as_history(u, self.n)
         x0 = history_floats(hist(0.0), self.n)
         if tau_max is None:
@@ -435,8 +459,29 @@ class Model:
         except _MATH_ERRORS as err:
             raise NumericalError(f"numerical failure: {err}") from err
 
-    def _frozen(self, x):  # slot matrix with every slot at x
-        return [[v] * self.m for v in np.asarray(x, dtype=float).tolist()]
+    def eval_on_nodes(self, params, xstar, v, deltas, tau_max):
+        """F(x* + delta v), continued to complex delta, at all nodes at once: shape (n, N).
+
+        The ExpPoly v is read at complex theta = -tau; delays are checked on
+        Re tau and not clamped. Division by zero, overflow and invalid
+        operations raise NumericalError; underflow is no error.
+        """
+        P = _floats(params, (self.n_p,), "parameter vector")
+        X = _floats(xstar, (self.n,), "state vector")
+        deltas = np.asarray(deltas, dtype=complex)
+
+        def hist(theta):
+            return [x + deltas * w for x, w in zip(X, v.eval_many(theta))]
+
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                values = self._on_nodes(P, hist, tau_max, hist(0.0))
+        except _MATH_ERRORS + (FloatingPointError,) as err:
+            raise NumericalError(f"numerical failure: {err}") from err
+        return np.array([np.broadcast_to(value, deltas.shape) for value in values], dtype=complex)
+
+    def _frozen(self, x):  # slot matrix with every slot at the state x
+        return [[v] * self.m for v in _floats(x, (self.n,), "state vector")]
 
     # -- equilibrium helpers ----------------------------------------------
 

@@ -7,10 +7,11 @@ normal-form coefficient
     g21 = p0 [ F3 q q qbar + F2 qbar h20 + F2 q h11 ],    L1 = Re(g21)/(2 w),
 
 with criticality subcritical for L1 > 0 and supercritical for L1 < 0.
-F2(q, q), F2(q, qbar) and F3(q, q, qbar) are phase-sampled along q; the two
-forms on h20 and h11 come from polarization. The fold coefficient is the
-quadratic coefficient on the one-dimensional center manifold of a simple
-zero root, a = p0 F2(q, q) / 2.
+Every form, F2(q, q), F2(q, qbar), F3(q, q, qbar) and the two on h20 and
+h11, is a multilinear_form: contour-integral derivatives polarized over
+the complex directions. The fold coefficient is the quadratic coefficient
+on the one-dimensional center manifold of a simple zero root,
+a = p0 F2(q, q) / 2.
 
 hopf_h2 solves the HomologicalSystems of hopf_order2_systems, and
 _solve_regular is the one regular solve, shared with the generic
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivs import DerivSettings, multilinear_form, phase_forms
+from .derivs import DerivSettings, check_consistency, multilinear_form
 from .errors import DegenerateEigenvalueError, NumericalError, ResonanceError
 from .histfun import ExpPoly
 from .spectral import (
@@ -40,7 +41,6 @@ from .spectral import (
 
 _DEGENERACY_TOL = 1e-8
 _SINGULAR_TOL = 1e-10
-_FD_CONSISTENCY_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,16 @@ def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
     """Order-2 center-manifold coefficients (h2_20, h2_11) as ExpPoly.
 
     h2_11 is constant, h2_20 a pure exp(2 i w theta) term. forms, if given,
-    holds precomputed "f2qq" = F2(q, q) and "f2qqbar" = F2(q, qbar);
-    otherwise both are phase-sampled along q. Raises ResonanceError when
-    Delta(0) (fold-Hopf) or Delta(2 i w) (1:2 resonance) is singular.
+    holds precomputed "f2qq" = F2(q, q) and "f2qqbar" = F2(q, qbar), else
+    both come from multilinear_form. Raises ResonanceError when Delta(0)
+    (fold-Hopf) or Delta(2 i w) (1:2 resonance) is singular.
     """
     lin = lin or linearize(model, params, xstar)
     if forms is None:
-        _, f2qqbar, f2qq = phase_forms(model, params, xstar, eigenfunction(eig), 2, settings)
-    else:
-        f2qq, f2qqbar = forms["f2qq"], forms["f2qqbar"]
+        q = eigenfunction(eig)
+        forms = {name: multilinear_form(model, params, xstar, [q, w], settings)
+                 for name, w in (("f2qq", q), ("f2qqbar", q.conjugate()))}
+    f2qq, f2qqbar = forms["f2qq"], forms["f2qqbar"]
     sys20, sys11 = hopf_order2_systems(lin, eig, f2qq, f2qqbar)
     h20_coef = _solve_regular(
         sys20.L_h, sys20.rhs, "resonant Hopf: 1:2 resonance, Delta(2 i w) singular"
@@ -88,8 +89,8 @@ def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
 def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None):
     """Full Hopf normal form at an equilibrium with a simple pair near i w.
 
-    The cubic bracket is evaluated at the configured Richardson level and
-    checked against the value one level coarser, read off the same tableau;
+    The cubic bracket is evaluated at the configured node level and checked
+    against the value one level coarser, read off the same circles;
     disagreement beyond the consistency tolerance raises "derivative
     accuracy insufficient". A given eig is re-fixed to the phase_fixed
     convention first, so externally rotated eigenvectors give the same
@@ -107,25 +108,18 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None
             eig = replace(eig, q0=q0, p0=eig.p0 * phase)
     h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin)
     q = eigenfunction(eig)
+    qbar = q.conjugate()
     terms = [
-        phase_forms(model, params, xstar, q, 3, settings, all_levels=True)[2],
-        multilinear_form(model, params, xstar, [q.conjugate(), h2_20], settings, all_levels=True),
-        multilinear_form(model, params, xstar, [q, h2_11], settings, all_levels=True),
+        multilinear_form(model, params, xstar, dirs, settings, all_levels=True)
+        for dirs in ([q, q, qbar], [qbar, h2_20], [q, h2_11])
     ]
     rows = terms[0] + terms[1] + terms[2]
     bracket = rows[-1]
-    if settings.richardson_levels > 1:
-        gap = float(np.max(np.abs(bracket - rows[-2])))
+    if settings.levels > 1:
         scale = max(float(np.max(np.abs(t[-1]))) for t in terms)
-        tol = max(
-            _FD_CONSISTENCY_REL * float(np.max(np.abs(bracket))),
-            1e-8 * (1.0 + scale),
+        check_consistency(
+            "node levels disagree by", bracket - rows[-2], float(np.max(np.abs(bracket))), scale
         )
-        if gap > tol:
-            raise NumericalError(
-                "derivative accuracy insufficient: Richardson levels disagree by "
-                f"{gap:.2e} (tolerance {tol:.2e})"
-            )
     g21 = complex(eig.p0 @ bracket)
     L1 = g21.real / (2.0 * eig.omega)
     if L1 > _DEGENERACY_TOL:
@@ -143,7 +137,6 @@ def fold_coefficient(model, params, xstar, settings=None, lin=None):
     a = p0 F2(q, q) / 2 with p0 Delta'(0) q0 = 1; the fold is
     non-degenerate iff a != 0.
     """
-    settings = settings or DerivSettings()
     params = np.asarray(params, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     lin = lin or linearize(model, params, xstar)

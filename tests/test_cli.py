@@ -80,10 +80,21 @@ class TestSubcommands:
         code, _, err = invoke(
             capsys,
             ["hopf-nf", "--model", SCALAR, "--par", "p=-1.5707963",
-             "--omega-guess", "1", "--fd-step", "0.5"],
+             "--omega-guess", "1", "--deriv-radius", "2"],
         )
         assert code == 2
-        assert "base_step" in err
+        assert "radius" in err
+
+    def test_readme_monitored_hopf_curve(self, capsys):
+        # the README hopf-curve --monitor-l1 example: L1 changes sign once on each leg
+        code, out, err = invoke(
+            capsys,
+            ["hopf-curve", "--model", POSCONTROL, "--par", "tau0=1,s0=4,k=1,c=2,gamma=1",
+             "--free", "tau0,s0", "--omega-guess", "0.52", "--guess", "4,4", "--monitor-l1"],
+        )
+        assert code == 0, err
+        zeros = [r for r in records(out) if r["kind"] == "event" and r["event"] == "L1_ZERO"]
+        assert len(zeros) == 2
 
     def test_root_shortfall_reported_as_warning(self, capsys):
         code, out, _ = invoke(

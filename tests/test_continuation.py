@@ -212,7 +212,7 @@ class TestHopfCurve:
             return hopf_l1(model, params, xstar, omega_guess, settings=settings, **kwargs)
 
         monkeypatch.setattr(sddde.continuation, "hopf_l1", recording)
-        settings = DerivSettings(base_step=8e-3)
+        settings = DerivSettings(radius=0.125)
         asg = {"tau0": 1.03, "s0": 5.8, "k": 1.0, "c": 2.0, "gamma": 1.0}
         pts = continue_hopf_curve(
             poscontrol_model,
@@ -230,6 +230,31 @@ class TestHopfCurve:
         # the event reuses the secant's L1 instead of computing it again
         i, j = (poscontrol_model.param_names.index(name) for name in ("tau0", "s0"))
         assert sum(1 for p, _ in calls if (p[i], p[j]) == event.params) == 1
+
+    def test_l1_agrees_across_deriv_settings(self, poscontrol_model):
+        # the contour derivatives are exact up to roundoff, so no circle radius or
+        # number of node levels moves the monitored L1
+        asg = {"tau0": 1.03, "s0": 5.8, "k": 1.0, "c": 2.0, "gamma": 1.0}
+        curves = [
+            continue_hopf_curve(
+                poscontrol_model,
+                asg,
+                ("tau0", "s0"),
+                np.array([5.8, 5.8]),
+                omega_guess=np.pi / (2 * 1.03 + 5.8),
+                step=StepSettings(initial=0.25, max_points=2, max_step=0.4),
+                monitor_l1=True,
+                deriv_settings=DerivSettings(radius=radius, levels=levels),
+            )
+            for radius in (0.1, 0.25)
+            for levels in (1, 2, 3)
+        ]
+        base = curves[0]
+        assert sum(1 for pt in base if pt.event == "L1_ZERO") == 1
+        for pts in curves[1:]:
+            assert [pt.event for pt in pts] == [pt.event for pt in base]
+            for pt, ref in zip(pts, base):
+                assert abs(pt.L1 - ref.L1) <= 1e-9
 
     def test_representation_invariance_constant_delays(self):
         # the same constant-delay model, once literal and once written as a

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import sddde.derivs
 from sddde import (
     DerivSettings,
     ExpPoly,
+    NumericalError,
     SdddeError,
     combine,
     directional_derivative,
@@ -13,10 +15,11 @@ from sddde import (
     hopf_eigendata,
     linearize,
     multilinear_form,
+    parse_model,
     poly_multiply,
     sup_norm,
 )
-from sddde.derivs import phase_forms, richardson_discrepancy
+from sddde.model import Bin, Neg, Num, Param, Pow, State
 
 PI_2 = np.pi / 2
 
@@ -79,17 +82,49 @@ class TestDirectionalDerivative:
             directional_derivative(model, params, xstar, two_re_exp_i(), 6)
 
     def test_settings_validation(self):
-        with pytest.raises(SdddeError, match="base_step"):
-            DerivSettings(base_step=0.5)
+        with pytest.raises(SdddeError, match="radius"):
+            DerivSettings(radius=2.0)
+        with pytest.raises(SdddeError, match="levels"):
+            DerivSettings(levels=0)
 
-    def test_normalization_off_agrees_for_moderate_directions(self, scalar_setup):
-        model, params, xstar, _, _ = scalar_setup
-        v = two_re_exp_i()
-        on = directional_derivative(model, params, xstar, v, 2)
-        off = directional_derivative(
-            model, params, xstar, v, 2, DerivSettings(direction_normalization=False)
+    def test_real_direction_gives_real_array(self, scalar_setup):
+        model, params, xstar, _, eig = scalar_setup
+        q = eigenfunction(eig)
+        assert directional_derivative(model, params, xstar, q.real_part(), 3).dtype == float
+        assert directional_derivative(model, params, xstar, q, 3).dtype == complex
+
+    def test_radius_halves_past_a_branch_point(self):
+        # F(x* + delta) = p - sqrt(x* + delta): the branch point delta = -x* lies
+        # inside the default circle, and the level gap shows it
+        model = parse_model(
+            'name="sq"\ndim=1\nparameters=["p"]\ntau_max=2\n'
+            'delays=["0", "1"]\nrhs=["p - sqrt(x1@2)"]\n'
         )
-        assert np.max(np.abs(on - off)) < 1e-6
+        got = directional_derivative(model, [0.3], [0.09], ExpPoly.constant([1.0]), 2)
+        assert got[0] == pytest.approx(0.25 * 0.09**-1.5, abs=1e-6)  # 9.259259...
+
+    def test_delay_near_tau_max(self):
+        # tau = 1.9 + x1@1 leaves [0, 2] on the default circle; a smaller one fits.
+        # F(x* + delta cos) = -sin(delta cos(1.9 + delta)), so D^2F = 2 sin(1.9)
+        model = parse_model(
+            'name="near"\ndim=1\nparameters=["p"]\ntau_max=2\n'
+            'delays=["0", "1.9 + x1@1"]\nrhs=["p - sin(x1@2)"]\n'
+        )
+        v = ExpPoly.exponential([1.0], 1j).real_part()
+        got = directional_derivative(model, [0.0], [0.0], v, 2)
+        assert got[0] == pytest.approx(2 * np.sin(1.9), abs=1e-9)
+
+    def test_enclosed_pole_is_refused(self):
+        # F(x* + delta) = 1/(1e-3 + delta): every circle down to the smallest radius
+        # encloses the pole, and there the Taylor sums read 0 at every level alike
+        model = parse_model(
+            'name="pole"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\n'
+            'rhs=["1/(x1@1 + 0.001)"]\n'
+        )
+        with pytest.raises(NumericalError, match="circle mean misses F"):
+            directional_derivative(model, [], [0.0], ExpPoly.constant([1.0]), 2)
+        with pytest.raises(NumericalError, match="numerical failure: divide by zero"):
+            directional_derivative(model, [], [-1e-3], ExpPoly.constant([1.0]), 2)
 
 
 class TestMultilinearForm:
@@ -110,6 +145,18 @@ class TestMultilinearForm:
         q = eigenfunction(eig)
         val = multilinear_form(model, params, xstar, [q, q, q.conjugate()])
         assert val[0] == pytest.approx(-1j, abs=1e-5)
+
+    def test_f3_exact_on_scalar_model(self, scalar_setup):
+        # F(x* + v) = -v(-pi/2 + v(0)), so F3(u, v, w) = -[u''(t*) v(0) w(0) + (2 more)]
+        # at t* = -pi/2; for (q, q, qbar) that is -(a^2 qbar''(t*) + 2|a|^2 q''(t*)), a = q(0)
+        model, params, xstar, _, eig = scalar_setup
+        q = eigenfunction(eig)
+        a = q.eval(0.0)[0]
+        q2 = q.derivative(2).eval(-PI_2)[0]
+        exact = -(a**2 * np.conj(q2) + 2 * abs(a) ** 2 * q2)
+        assert exact == pytest.approx(-1j, abs=1e-9)  # q = e^{i theta} up to eigensolver error
+        got = multilinear_form(model, params, xstar, [q, q, q.conjugate()])
+        assert abs(got[0] - exact) <= 1e-12
 
     def test_homogeneity_in_first_argument(self, scalar_setup):
         model, params, xstar, _, eig = scalar_setup
@@ -132,25 +179,39 @@ class TestMultilinearForm:
         for v in vals[1:]:
             assert np.max(np.abs(v - vals[0])) <= 1e-8 * scale
 
-    def test_richardson_consistency(self, scalar_setup):
+    def test_level_consistency(self, scalar_setup):
         model, params, xstar, _, eig = scalar_setup
         q = eigenfunction(eig)
-        gap = richardson_discrepancy(model, params, xstar, [q, q, q.conjugate()])
-        assert gap <= 1e-4 * 1.0  # |F3 q q qbar| = 1
+        row = multilinear_form(model, params, xstar, [q, q, q.conjugate()], all_levels=True)
+        assert np.max(np.abs(row[-1] - row[-2])) <= 1e-4 * 1.0  # |F3 q q qbar| = 1
+
+    def test_vanishing_polarization_sums_are_skipped(self, scalar_setup, monkeypatch):
+        model, params, xstar, _, eig = scalar_setup
+        q = eigenfunction(eig)
+        seen = []
+        inner = sddde.derivs.directional_derivative
+
+        def recording(model, params, xstar, v, order, *args, **kwargs):
+            seen.append(v)
+            return inner(model, params, xstar, v, order, *args, **kwargs)
+
+        monkeypatch.setattr(sddde.derivs, "directional_derivative", recording)
+        multilinear_form(model, params, xstar, [q, q])  # q - q = 0
+        assert len(seen) == 1
 
 
-class TestRichardsonTableau:
+class TestNodeLevels:
     def test_row_entries_equal_separate_runs(self, scalar_setup):
         model, params, xstar, _, eig = scalar_setup
         v = combine(1.0, eigenfunction(eig).real_part(), 0.3, two_re_exp_i().derivative())
         for order in (2, 3):
             row = directional_derivative(
-                model, params, xstar, v, order, DerivSettings(richardson_levels=3), all_levels=True
+                model, params, xstar, v, order, DerivSettings(levels=3), all_levels=True
             )
             assert row.shape == (3, model.n)
             for m in range(3):
                 alone = directional_derivative(
-                    model, params, xstar, v, order, DerivSettings(richardson_levels=m + 1)
+                    model, params, xstar, v, order, DerivSettings(levels=m + 1)
                 )
                 assert np.array_equal(row[m], alone)
 
@@ -159,47 +220,73 @@ class TestRichardsonTableau:
         q = eigenfunction(eig)
         dirs = [q, q, q.conjugate()]
         row = multilinear_form(model, params, xstar, dirs, all_levels=True)
-        coarse = multilinear_form(model, params, xstar, dirs, DerivSettings(richardson_levels=1))
+        coarse = multilinear_form(model, params, xstar, dirs, DerivSettings(levels=1))
         assert np.array_equal(row[-2], coarse)
         assert np.array_equal(row[-1], multilinear_form(model, params, xstar, dirs))
 
 
-class TestPhaseSampling:
-    """F_j(q^k, qbar^(j-k)) from samples along Re(e^{i phi} q)."""
+class TestSymbolicOracle:
+    """Exact D^jF by sympy along explicit ExpPoly directions on position_control."""
 
     @staticmethod
-    def forms(model, params, xstar, q):
-        _, f2qqbar, f2qq = phase_forms(model, params, xstar, q, 2)
-        return {"f2qq": f2qq, "f2qqbar": f2qqbar, "f3": phase_forms(model, params, xstar, q, 3)[2]}
+    def functional(sp, model, params, xstar, v, d):
+        """F(x* + d v) as a sympy expression in d, built from the model AST."""
 
-    @pytest.mark.parametrize("path", ["phase", "polarization"])
-    def test_f3_exact_on_scalar_model(self, scalar_setup, path):
-        # F(x* + v) = -v(-pi/2 + v(0)), so F3(u, v, w) = -[u''(t*) v(0) w(0) + (2 more)]
-        # at t* = -pi/2; for (q, q, qbar) that is -(a^2 qbar''(t*) + 2|a|^2 q''(t*)), a = q(0)
-        model, params, xstar, _, eig = scalar_setup
-        q = eigenfunction(eig)
-        a = q.eval(0.0)[0]
-        q2 = q.derivative(2).eval(-PI_2)[0]
-        exact = -(a**2 * np.conj(q2) + 2 * abs(a) ** 2 * q2)
-        assert exact == pytest.approx(-1j, abs=1e-9)  # q = e^{i theta} up to eigensolver error
-        if path == "phase":
-            got = self.forms(model, params, xstar, q)["f3"]
-        else:
-            got = multilinear_form(model, params, xstar, [q, q, q.conjugate()])
-        assert abs(got[0] - exact) <= 1e-6
+        def hist(theta):
+            return [
+                sp.Float(x, 30)
+                + d * sum(
+                    _exact(c[i]) * theta**p * sp.exp(_exact(e) * theta) for c, p, e in v.terms
+                )
+                for i, x in enumerate(xstar)
+            ]
 
-    @pytest.mark.parametrize("which", ["scalar", "poscontrol"])
-    def test_agrees_with_polarization(self, scalar_setup, poscontrol_setup, which):
-        if which == "scalar":
-            model, params, xstar, _, eig = scalar_setup
-        else:
-            model, params, xstar, eig = poscontrol_setup
+        def walk(node, slots):
+            if isinstance(node, Num):
+                return sp.Float(node.value, 30)
+            if isinstance(node, Param):
+                return sp.Float(params[node.index], 30)
+            if isinstance(node, State):
+                return slots[node.slot - 1][node.comp - 1]
+            if isinstance(node, Neg):
+                return -walk(node.arg, slots)
+            if isinstance(node, Pow):
+                return walk(node.base, slots) ** node.power
+            if isinstance(node, Bin):
+                left, right = walk(node.left, slots), walk(node.right, slots)
+                return {"+": left + right, "-": left - right, "*": left * right,
+                        "/": left / right}[node.op]
+            return getattr(sp, node.func)(walk(node.arg, slots))
+
+        slots = [hist(sp.Integer(0))]
+        for expr in model.delay_exprs[1:]:
+            slots.append(hist(-walk(expr, slots)))
+        return [walk(expr, slots) for expr in model.rhs_exprs]
+
+    def test_derivatives_match_sympy(self, poscontrol_setup):
+        sp = pytest.importorskip("sympy")
+        model, params, xstar, eig = poscontrol_setup
         q = eigenfunction(eig)
-        qbar = q.conjugate()
-        sampled = self.forms(model, params, xstar, q)
-        for name, dirs in (("f2qq", [q, q]), ("f2qqbar", [q, qbar]), ("f3", [q, q, qbar])):
-            polar = multilinear_form(model, params, xstar, dirs)
-            assert np.max(np.abs(sampled[name] - polar)) <= 1e-6 * (1.0 + np.max(np.abs(polar)))
+        two_term = ExpPoly.exponential([0.6, -0.3 + 0.4j], 0.2 + 0.8j).real_part()
+        d = sp.Symbol("d")
+        for v in (q.real_part(), two_term):
+            exprs = self.functional(sp, model, params, xstar, v, d)
+            for j in range(1, 6):
+                exprs = [sp.diff(e, d) for e in exprs]
+                if j == 1:
+                    continue
+                exact = np.array([complex(e.subs(d, 0).evalf(30)) for e in exprs])
+                assert np.max(np.abs(exact.imag)) <= 1e-25 * np.max(np.abs(exact))
+                got = directional_derivative(model, params, xstar, v, j)
+                assert np.max(np.abs(got - exact.real)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def _exact(value):
+    """A double (or complex double) as an exact sympy number."""
+    import sympy as sp
+
+    value = complex(value)
+    return sp.Float(value.real, 30) + sp.I * sp.Float(value.imag, 30)
 
 
 def delay_sum_points(frozen, order):
@@ -222,7 +309,7 @@ def vanishing_perturbation(model, params, xstar, order, envelope):
 
 
 class TestDelaySumSupport:
-    """The FD multilinear forms see only values and first j-1 derivatives at
+    """The multilinear forms see only values and first j-1 derivatives at
     delay-sum points; perturbations vanishing to order j there are invisible.
     The perturbation norm is the sup norm on [-j*tau_max, 0], the domain of
     the order-j expansion forms."""

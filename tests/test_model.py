@@ -11,6 +11,7 @@ from sddde import (
     ExpPoly,
     ModelError,
     NumericalError,
+    combine,
     parse_expr,
     parse_model,
     simulate,
@@ -18,6 +19,8 @@ from sddde import (
     to_text,
 )
 from sddde.model import FUNCTIONS, Bin, Call, Model, Neg, Num, Param, Pow, State
+
+PI_2 = math.pi / 2
 
 SCALAR_SRC = """\
 name = "scalar_nested"
@@ -181,6 +184,80 @@ class TestEvalFunctional:
                 poscontrol_model.eval_functional(params, hist)
             with pytest.raises(ModelError, match=message):
                 simulate(poscontrol_model, params, hist, t_end=1.0, step=0.5)
+
+
+class TestLengthChecks:
+    def test_wrong_lengths_are_model_errors(self, poscontrol_model, poscontrol_ref):
+        model = poscontrol_model
+        params = model.params_from(poscontrol_ref)
+        x = np.array([4.0, 4.0])
+        slots = np.full((2, 4), 4.0)
+        short_state = r"^state vector has shape \(1,\), expected \(2,\)$"
+        short_params = r"^parameter vector has shape \(2,\), expected \(5,\)$"
+        cases = [
+            (lambda: model.equilibrium_residual(params, [4.0]), short_state),
+            (lambda: model.equilibrium_residual([1.0, 4.0], x), short_params),
+            (lambda: solve_equilibrium(model, params, np.array([4.0])), short_state),
+            (lambda: model.frozen_delays(params, [4.0, 4.0, 4.0]),
+             r"^state vector has shape \(3,\), expected \(2,\)$"),
+            (lambda: model.eval_rhs(slots[:, :3], params),
+             r"^slot matrix has shape \(2, 3\), expected \(2, 4\)$"),
+            (lambda: model.eval_rhs(slots, [1.0, 4.0]), short_params),
+            (lambda: model.eval_delay(3, slots[:1], params),
+             r"^slot matrix has shape \(1, 4\), expected \(2, 4\)$"),
+            (lambda: model.eval_delay(3, slots, [1.0, 4.0]), short_params),
+            (lambda: model.eval_functional([1.0, 4.0], x), short_params),
+            (lambda: model.eval_on_nodes(params, [4.0], ExpPoly.constant([1.0, 0.0]),
+                                         [0.1], 10.0), short_state),
+            (lambda: model.eval_on_nodes([1.0, 4.0], x, ExpPoly.constant([1.0, 0.0]),
+                                         [0.1], 10.0), short_params),
+        ]
+        for call, message in cases:
+            with pytest.raises(ModelError, match=message):
+                call()
+
+
+class TestEvalOnNodes:
+    def test_real_nodes_match_the_float_functional(self, poscontrol_model, poscontrol_ref):
+        model = poscontrol_model
+        params = model.params_from(poscontrol_ref)
+        x = np.array([4.0, 4.0])
+        v = combine(
+            1.0,
+            ExpPoly.exponential([0.6, -0.3 + 0.4j], 0.2 + 0.8j).real_part(),
+            0.5,
+            ExpPoly.constant([0.2, -0.1]),
+        )
+        deltas = np.array([-0.3, 0.0, 0.1, 0.25])
+        got = model.eval_on_nodes(params, x, v, deltas, 10.0)
+        for k, d in enumerate(deltas):
+            want = model.eval_functional(params, lambda t: x + d * v.eval_real(t), tau_max=10.0)
+            assert np.max(np.abs(got[:, k] - want)) <= 1e-14
+            assert np.all(got[:, k].imag == 0.0)
+
+    def test_complex_delays_are_checked_on_their_real_part(self, scalar_model):
+        # tau = -x1@1 = pi/2 - delta at x* = -pi/2
+        v = ExpPoly.constant([1.0])
+        inside = scalar_model.eval_on_nodes([-PI_2], [-PI_2], v, [1j, -1j, 1.0], 10.0)
+        assert inside.shape == (1, 3)
+        with pytest.raises(DelayRangeError) as err:
+            scalar_model.eval_on_nodes([-PI_2], [-PI_2], v, [1j, 2.0], 10.0)
+        assert err.value.value == pytest.approx(PI_2 - 2.0)
+
+    def test_math_failures_are_typed(self):
+        inverse = parse_model(
+            'name="inv"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\nrhs=["1/x1@1"]\n'
+        )
+        v = ExpPoly.constant([1.0])
+        with pytest.raises(NumericalError, match="^numerical failure: divide by zero"):
+            inverse.eval_on_nodes([], [0.0], v, [1.0, 0.0], 1.0)
+        overflow = parse_model(
+            'name="ov"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\nrhs=["exp(x1@1)"]\n'
+        )
+        with pytest.raises(NumericalError, match="^numerical failure: overflow"):
+            overflow.eval_on_nodes([], [1e3], v, [0.5j], 1.0)
+        # underflow is no error
+        assert overflow.eval_on_nodes([], [-1e3], v, [0.5j], 1.0)[0, 0] == 0.0
 
 
 class TestEquilibriumHelpers:

@@ -94,10 +94,11 @@ class TestHopfH2:
 
 class TestHopfL1:
     def test_work_count_at_reference_point(self, poscontrol_model, poscontrol_ref, monkeypatch):
-        # 3 + 4 phase samples for F2(q,q), F2(q,qbar), F3(q,q,qbar); polarization for
-        # F2(qbar, h20) and F2(q, h11); the coarse Richardson check costs nothing extra,
-        # and F(x*) at the centre of an order-2 stencil is evaluated once per derivative
-        counts = {"dd": 0, "evals": 0}
+        # polarization: 1 derivative for F2(q,q) (q - q vanishes), 2 for F2(q,qbar),
+        # 4 for F3(q,q,qbar), 2 each for F2(qbar, h20) and F2(q, h11); each derivative
+        # is one vectorized circle evaluation (centre included), and the coarse level
+        # reads the same nodes
+        counts = {"dd": 0, "circles": 0, "evals": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -110,11 +111,13 @@ class TestHopfL1:
             sddde.derivs, "directional_derivative",
             counting("dd", sddde.derivs.directional_derivative),
         )
+        monkeypatch.setattr(Model, "eval_on_nodes", counting("circles", Model.eval_on_nodes))
         monkeypatch.setattr(Model, "eval_functional", counting("evals", Model.eval_functional))
         params = poscontrol_model.params_from(poscontrol_ref)
         hopf_l1(poscontrol_model, params, [4.0, 4.0], np.pi / 6)
-        assert counts["dd"] <= 24
-        assert counts["evals"] <= 110
+        assert 0 < counts["dd"] <= 11
+        assert counts["dd"] <= counts["circles"] <= 11
+        assert counts["evals"] == 0
 
     def test_scalar_worked_example(self, scalar_nf):
         exact = 0.5 * ((2 - 1j) / (1 + 1j * PI_2)).real
@@ -175,7 +178,7 @@ class TestHopfL1:
 
     def test_step_halving_stability(self, scalar_model, scalar_nf):
         nf2 = hopf_l1(
-            scalar_model, [-PI_2], [-PI_2], 1.0, settings=DerivSettings(base_step=2.5e-3)
+            scalar_model, [-PI_2], [-PI_2], 1.0, settings=DerivSettings(radius=0.125)
         )
         assert nf2.L1 == pytest.approx(scalar_nf.L1, rel=1e-5)
 
