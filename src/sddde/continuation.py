@@ -546,7 +546,7 @@ def _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n):
         seg = yb - ya
         tangent = seg / np.linalg.norm(seg)
         ta, tb, la, lb = 0.0, 1.0, a.L1, b.L1
-        y_t = None
+        y_t, kept = None, 0
         for _ in range(60):
             t = tb - lb * (tb - ta) / (lb - la)  # secant
             t = min(max(t, 0.0), 1.0)
@@ -554,15 +554,15 @@ def _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n):
 
             y_t, _, _ = _correct(residual, tangent, y_pred, 1e-10, 12)
             l_t = curve_l1(y_t)
-            if np.sign(l_t) == np.sign(la):
-                ta, la = t, l_t
+            if np.sign(l_t) == np.sign(la):  # Illinois: halve the L1 of an end kept twice
+                ta, la, lb, kept = t, l_t, (lb / 2 if kept == 1 else lb), 1
             else:
-                tb, lb = t, l_t
+                tb, lb, la, kept = t, l_t, (la / 2 if kept == -1 else la), -1
             dp = np.hypot(
                 (yb[3 * n + 1] - ya[3 * n + 1]) * (tb - ta),
                 (yb[3 * n + 2] - ya[3 * n + 2]) * (tb - ta),
             )
-            if dp <= 1e-4:
+            if dp <= 1e-6:
                 break
         if y_t is not None:
             out.insert(k + 1 + inserted, make_point(y_t, event="L1_ZERO", L1=l_t))

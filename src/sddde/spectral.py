@@ -7,8 +7,8 @@ by slot. Its characteristic matrix is
     Delta(lambda) = lambda*I - sum_j A_j exp(-lambda*tau_j),
 
 whose roots are the eigenvalues. Root finding seeds a Chebyshev
-pseudospectral discretization of the generator and refines each seed by
-Newton on the bordered system [Delta(lambda) q; c.q - 1] = 0.
+pseudospectral discretization of the generator and refines all seeds in one
+batched Newton on the stacked bordered systems [Delta(lambda) q; c.q - 1] = 0.
 
 Every critical eigenvector follows one phase convention, phase_fixed:
 its largest-magnitude component is real positive.
@@ -81,20 +81,20 @@ def linearize(model, params, xstar, check_equilibrium=True):
 
 
 def char_matrix(lin, lam):
-    """Delta(lambda) = lambda*I - sum_j A_j exp(-lambda*tau_j)."""
-    n = lin.n
-    out = lam * np.eye(n, dtype=complex)
+    """Delta(lambda) = lambda*I - sum_j A_j exp(-lambda*tau_j), (..., n, n) for an array."""
+    lam = np.asarray(lam)[..., None, None]
+    out = lam * np.eye(lin.n, dtype=complex)
     for Aj, tau in zip(lin.A, lin.taus):
-        out -= Aj * np.exp(-lam * tau)
+        out = out - Aj * np.exp(-lam * tau)
     return out
 
 
 def char_matrix_deriv(lin, lam):
     """d/dlambda of the characteristic matrix: I + sum_j tau_j A_j e^{-lam tau_j}."""
-    n = lin.n
-    out = np.eye(n, dtype=complex)
+    lam = np.asarray(lam)[..., None, None]
+    out = np.eye(lin.n, dtype=complex)
     for Aj, tau in zip(lin.A, lin.taus):
-        out += tau * Aj * np.exp(-lam * tau)
+        out = out + tau * Aj * np.exp(-lam * tau)
     return out
 
 
@@ -155,42 +155,62 @@ def _null_vectors(mat):
 
 
 def _nullity(mat):
+    """Numerical nullity of a matrix, or of each matrix of a stack."""
     s = np.linalg.svd(mat, compute_uv=False)
-    top = s[0] if s[0] > 0 else 1.0
-    return int(np.sum(s < _NULLITY_TOL * max(top, 1.0)))
+    return np.sum(s < _NULLITY_TOL * np.maximum(s[..., :1], 1.0), axis=-1)
+
+
+def _refine_roots(lin, seeds, max_iter=40):
+    """Newton on [Delta(lam) q; c.q - 1] from all seeds at once, one stack of
+    bordered systems per step; a seed freezes once its residual is below 1e-13.
+
+    Returns per seed (lam, q, residual) with unit q, or its ConvergenceError.
+    """
+    n = lin.n
+    lam = np.array(seeds, dtype=complex)
+    q = np.linalg.svd(char_matrix(lin, lam))[2][:, -1].conj()
+    cc = q.conj()
+    out, live = [None] * lam.size, np.arange(lam.size)
+    for _ in range(max_iter):
+        D = char_matrix(lin, lam[live])
+        r = np.concatenate([D @ q[live, :, None], cc[live, None] @ q[live, :, None] - 1.0], axis=1)
+        go = ~(np.max(np.abs(r), axis=(1, 2)) < 1e-13)
+        live, D, r = live[go], D[go], r[go]
+        if not live.size:
+            break
+        J = np.zeros((live.size, n + 1, n + 1), dtype=complex)
+        J[:, :n, :n] = D
+        J[:, :n, n:] = char_matrix_deriv(lin, lam[live]) @ q[live, :, None]
+        J[:, n, :n] = cc[live]
+        try:
+            delta = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:  # solve seed by seed and retire the singular ones
+            delta = np.zeros_like(r)
+            for i, k in enumerate(live):
+                try:
+                    delta[i] = np.linalg.solve(J[i], -r[i])
+                except np.linalg.LinAlgError:
+                    out[k] = ConvergenceError(f"singular bordered system at lambda={lam[k]:.6g}")
+            keep = np.array([out[k] is None for k in live])
+            live, delta = live[keep], delta[keep]
+        q[live] = q[live] + delta[:, :n, 0]
+        lam[live] = lam[live] + delta[:, n, 0]
+    q = q / np.array([np.linalg.norm(v) for v in q]).reshape(-1, 1)
+    res = char_matrix(lin, lam) @ q[:, :, None]
+    for k in [k for k, err in enumerate(out) if err is None]:
+        residual = float(np.linalg.norm(res[k, :, 0]))
+        out[k] = ConvergenceError(
+            f"root refinement stalled near lambda={lam[k]:.6g} (residual {residual:.2e})"
+        ) if residual > _RESIDUAL_TOL else (complex(lam[k]), q[k], residual)
+    return out
 
 
 def refine_root(lin, lam0, max_iter=40):
-    """Newton on [Delta(lam) q; c.q - 1] from seed lam0.
-
-    Returns (lam, q, residual) with unit q, or raises ConvergenceError.
-    """
-    n = lin.n
-    q, _ = _null_vectors(char_matrix(lin, lam0))
-    cc = q.conj()
-    lam = complex(lam0)
-    for _ in range(max_iter):
-        D = char_matrix(lin, lam)
-        r = np.concatenate([D @ q, [cc @ q - 1.0]])
-        if np.max(np.abs(r)) < 1e-13:
-            break
-        J = np.zeros((n + 1, n + 1), dtype=complex)
-        J[:n, :n] = D
-        J[:n, n] = char_matrix_deriv(lin, lam) @ q
-        J[n, :n] = cc
-        try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(f"singular bordered system at lambda={lam:.6g}") from None
-        q = q + delta[:n]
-        lam = lam + delta[n]
-    q = q / np.linalg.norm(q)
-    residual = float(np.linalg.norm(char_matrix(lin, lam) @ q))
-    if residual > _RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"root refinement stalled near lambda={lam:.6g} (residual {residual:.2e})"
-        )
-    return lam, q, residual
+    """_refine_roots from the one seed lam0: (lam, q, residual), or raises ConvergenceError."""
+    result = _refine_roots(lin, [lam0], max_iter)[0]
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 def characteristic_roots(lin, count=8, re_cutoff=2.0, cheb_nodes=32):
@@ -204,17 +224,15 @@ def characteristic_roots(lin, count=8, re_cutoff=2.0, cheb_nodes=32):
         raise SdddeError("count must be >= 1")
     seeds = generator_eigenvalues(lin, cheb_nodes)
     seeds = seeds[np.argsort(-seeds.real)]
+    seeds = seeds[: np.count_nonzero(seeds.real >= -re_cutoff - 0.5)]
     found = []
-    for seed in seeds:
-        if seed.real < -re_cutoff - 0.5:
-            break
+    for seed, result in zip(seeds, _refine_roots(lin, seeds)):
         if len(found) >= 4 * count:
             break
-        try:
-            lam, _, _ = refine_root(lin, complex(seed))
-        except ConvergenceError as err:
-            warnings.warn(f"dropped root seed {seed:.4g}: {err}", stacklevel=2)
+        if isinstance(result, ConvergenceError):
+            warnings.warn(f"dropped root seed {seed:.4g}: {result}", stacklevel=2)
             continue
+        lam = result[0]
         if lam.real < -re_cutoff:
             continue
         if any(abs(lam - other) < 1e-8 * (1.0 + abs(other)) for other in found):
@@ -230,7 +248,7 @@ def characteristic_roots(lin, count=8, re_cutoff=2.0, cheb_nodes=32):
         found.sort(key=lambda z: (-z.real, abs(z.imag), -np.sign(z.imag)))
     if len(found) < count:
         warnings.warn(f"requested {count} roots, found {len(found)}", stacklevel=2)
-    return [(lam, _nullity(char_matrix(lin, lam))) for lam in found]
+    return [(lam, int(k)) for lam, k in zip(found, _nullity(char_matrix(lin, found)))]
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +291,21 @@ def hopf_eigendata(lin, omega_guess):
         raise DegenerateEigenvalueError(
             f"no oscillatory root near i*{omega_guess:.6g}; found {lam:.6g}"
         )
-    D = char_matrix(lin, 1j * omega)
+    D, dD = char_matrix(lin, 1j * omega), char_matrix_deriv(lin, 1j * omega)
     q0, p0 = _null_vectors(D)
-    scale = p0 @ char_matrix_deriv(lin, 1j * omega) @ q0
+    scale = p0 @ dD @ q0
     if abs(scale) < 1e-8:
         raise DegenerateEigenvalueError(
             "non-semisimple or degenerate critical eigenvalue: "
             f"|p0 Delta'(i w) q0| = {abs(scale):.2e} before scaling"
         )
     q0, _ = phase_fixed(q0)
-    p0 = p0 / (p0 @ char_matrix_deriv(lin, 1j * omega) @ q0)
+    p0 = p0 / (p0 @ dD @ q0)
     residuals = {
         "right": float(np.linalg.norm(D @ q0)),
         "left": float(np.linalg.norm(p0 @ D)),
         "real_part": abs(lam.real),
-        "normalization": abs(p0 @ char_matrix_deriv(lin, 1j * omega) @ q0 - 1.0),
+        "normalization": abs(p0 @ dD @ q0 - 1.0),
     }
     return EigenData(omega=float(omega), q0=q0, p0=p0, residuals=residuals)
 

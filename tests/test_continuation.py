@@ -231,6 +231,32 @@ class TestHopfCurve:
         i, j = (poscontrol_model.param_names.index(name) for name in ("tau0", "s0"))
         assert sum(1 for p, _ in calls if (p[i], p[j]) == event.params) == 1
 
+    def test_l1_zero_secant_is_illinois(self, poscontrol_model, monkeypatch):
+        # the hopf_curve_l1 benchmark workload's seed-0 curve, where a one-sided
+        # regula falsi needs more than 20 calls
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return hopf_l1(*args, **kwargs)
+
+        monkeypatch.setattr(sddde.continuation, "hopf_l1", counting)
+        s0 = 5.0
+        tau0 = hopf_formula_tau0(s0)
+        asg = {"tau0": tau0, "s0": s0, "k": 1.0, "c": 2.0, "gamma": 1.0}
+        pts = continue_hopf_curve(
+            poscontrol_model,
+            asg,
+            ("tau0", "s0"),
+            np.array([s0, s0]),
+            omega_guess=np.pi / (2 * tau0 + s0),
+            step=StepSettings(initial=0.35, max_points=7),
+            monitor_l1=True,
+        )
+        (event,) = [pt for pt in pts if pt.event == "L1_ZERO"]
+        assert len(calls) <= 20
+        assert np.hypot(event.params[0] - 1.0277652, event.params[1] - 5.9315866) <= 1e-5
+
     def test_l1_agrees_across_deriv_settings(self, poscontrol_model):
         # the contour derivatives are exact up to roundoff, so no circle radius or
         # number of node levels moves the monitored L1

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.special
 
 from sddde import (
+    ConvergenceError,
     DegenerateEigenvalueError,
     ExpPoly,
     NumericalError,
@@ -18,9 +20,16 @@ from sddde import (
     linearize,
     parse_model,
     resolvent_apply,
+    solve_equilibrium,
     spectral_projection,
 )
-from sddde.spectral import Linearization, apply_linearization, refine_root
+from sddde.spectral import (
+    Linearization,
+    _refine_roots,
+    apply_linearization,
+    generator_eigenvalues,
+    refine_root,
+)
 
 PI_2 = np.pi / 2
 
@@ -121,6 +130,99 @@ class TestCharacteristicRoots:
         b = characteristic_roots(scalar_lin, count=4, cheb_nodes=48)
         for (za, _), (zb, _) in zip(a, b):
             assert abs(za - zb) <= 1e-9
+
+
+# sha256 of characteristic_roots' roots (little-endian complex128) followed by
+# their multiplicities (little-endian int64), keyed by (model, setting, count,
+# re_cutoff). The first four are the criterion-6 equilibria that the benchmark's
+# spectral_projection workload visits at seed 0, at its count and cutoff; the
+# last three are the scalar model at the default count and cutoff. The bytes
+# depend on the libm and LAPACK numpy runs on; they pin the root finder's
+# output across refactors on one platform.
+ROOT_GOLDEN = {
+    ("scalar_nested", -1.7, 6, 3.0): "bfa7f9e3b954c42ece338697a492326b41e5f47e910ec142f6032f712a95a63a",
+    ("scalar_nested", -1.9, 6, 3.0): "808686588d85f6ba817610345dc492ce3cb3307384159f75d29a605be7a0f2ae",
+    ("position_control", (0.6, 2.0), 6, 3.0): "4f90ee63896d37473b6e23588a97a5a8a887e92f51a816395358b2c3b26420c0",
+    ("position_control", (1.0, 4.0), 6, 3.0): "14a6ac33f72f1282d69d7cfae23ab3d005251823ff11a415b6bfc5b15f9a3577",
+    ("scalar_nested", -1.9, 8, 2.0): "40f1f1bac14274a994abc058daf705734c74dd97ef0ce02bf7964df91bc42359",
+    ("scalar_nested", -PI_2, 8, 2.0): "de5c99f4f8a96313e5574924d6f5d3e0be55f3a34582be33f1138c57a3930538",
+    ("scalar_nested", -1.2, 8, 2.0): "366d78fd925f6083aec1e12ed1b8ab332ad3e40e70f05089b48bd7ad6382e97b",
+}
+
+
+def _equilibrium_lin(model, setting):
+    """Linearization at the scalar model's p = setting or at position_control's
+    (tau0, s0) = setting with k = 1, c = 2, gamma = 1."""
+    if model.name == "scalar_nested":
+        params, guess = model.params_from({"p": setting}), [setting]
+    else:
+        tau0, s0 = setting
+        params = model.params_from({"tau0": tau0, "s0": s0, "k": 1.0, "c": 2.0, "gamma": 1.0})
+        guess = [s0, s0]
+    return linearize(model, params, solve_equilibrium(model, params, np.array(guess)))
+
+
+class TestRootBytes:
+    @pytest.mark.parametrize("key", list(ROOT_GOLDEN))
+    def test_roots_are_pinned(self, key, scalar_model, poscontrol_model):
+        name, setting, count, cutoff = key
+        model = scalar_model if name == "scalar_nested" else poscontrol_model
+        lin = _equilibrium_lin(model, setting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            roots = characteristic_roots(lin, count=count, re_cutoff=cutoff)
+        data = (np.array([z for z, _ in roots], dtype="<c16").tobytes()
+                + np.array([k for _, k in roots], dtype="<i8").tobytes())
+        assert hashlib.sha256(data).hexdigest() == ROOT_GOLDEN[key]
+
+
+CRITERION6 = [("scalar_nested", p) for p in (-1.2, -1.4, -PI_2, -1.7, -1.9)] + [
+    ("position_control", setting)
+    for setting in ((0.6, 2.0), (0.8, 3.0), (1.0, 4.0), (1.2, 4.5), (1.4, 5.0))
+]
+
+
+def _outcome(result):
+    """A refinement result as comparable bytes, or its error message."""
+    if isinstance(result, ConvergenceError):
+        return str(result)
+    lam, q, residual = result
+    return np.complex128(lam).tobytes(), q.tobytes(), np.float64(residual).tobytes()
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("name,setting", CRITERION6)
+    def test_batch_matches_batch_of_one(self, name, setting, scalar_model, poscontrol_model):
+        lin = _equilibrium_lin(scalar_model if name == "scalar_nested" else poscontrol_model,
+                               setting)
+        seeds = generator_eigenvalues(lin)
+        seeds = seeds[seeds.real >= -3.5]   # the seeds characteristic_roots refines at cutoff 3
+        batch = _refine_roots(lin, seeds)
+        assert len(batch) == len(seeds)
+        for seed, result in zip(seeds, batch):
+            try:
+                alone = refine_root(lin, seed)
+            except ConvergenceError as err:
+                alone = err
+            assert _outcome(result) == _outcome(alone)
+
+    def test_singular_member_is_retired_alone(self):
+        # Delta(lam) = lam + exp(-lam): at lam = 0, q = 1 the bordered matrix
+        # [[1, 0], [1, 0]] is exactly singular
+        lin = Linearization((np.array([[0.0]]), np.array([[-1.0]])), (0.0, 1.0),
+                            np.zeros(0), np.zeros(1))
+        first, second = _refine_roots(lin, [0.0, -0.3 + 1.3j])
+        assert isinstance(first, ConvergenceError)
+        assert str(first) == "singular bordered system at lambda=0+0j"
+        lam, q, residual = second
+        assert abs(lam - (-0.318131505204737 + 1.33723570143066j)) <= 1e-14
+        assert residual <= 1e-12 and abs(np.linalg.norm(q) - 1.0) <= 1e-15
+        with pytest.raises(ConvergenceError, match="singular bordered system at lambda=0"):
+            refine_root(lin, 0.0)
+
+    def test_no_seed_above_the_cutoff(self, scalar_lin):
+        assert _refine_roots(scalar_lin, []) == []
+        assert characteristic_roots(scalar_lin, count=2, re_cutoff=-50.0) == []
 
 
 class TestHopfEigendata:
