@@ -10,7 +10,8 @@ Hopf curves are continued in two parameters through the extended real
 system {equilibrium residual; Re/Im of Delta(i w) q0; Re/Im of (c.q0 - 1)}
 with the normalization row c frozen per curve. L1 can be monitored along
 the curve; its sign changes are located by secant iteration on the curve
-parameter.
+parameter. Every Newton step takes the exact Jacobian of its system, built
+from the model's symbolic slot derivatives.
 """
 
 import warnings
@@ -27,6 +28,7 @@ from .errors import (
 from .normalform import hopf_l1
 from .spectral import (
     char_matrix,
+    char_matrix_deriv,
     characteristic_roots,
     hopf_eigendata,
     linearize,
@@ -60,23 +62,10 @@ class RootSettings:
 # Newton helpers
 
 
-def _fd_jacobian(fun, y, f0=None, step_scale=1e-6):
-    f0 = fun(y) if f0 is None else f0
-    n_out, n_in = f0.size, y.size
-    J = np.zeros((n_out, n_in))
-    for k in range(n_in):
-        h = step_scale * (1.0 + abs(y[k]))
-        yp = y.copy()
-        ym = y.copy()
-        yp[k] += h
-        ym[k] -= h
-        J[:, k] = (fun(yp) - fun(ym)) / (2 * h)
-    return J
+def newton(fun, jac, y0, tol=1e-10, max_iters=25):
+    """Newton on a square system with the exact Jacobian jac(y).
 
-
-def newton(fun, y0, tol=1e-10, max_iters=25, damped=True):
-    """Damped Newton with central-difference Jacobian on a square system.
-
+    Each step is halved until the residual max-norm drops, down to 1/64.
     Returns (solution, residual max-norm, iterations used).
     """
     y = np.asarray(y0, dtype=float).copy()
@@ -85,25 +74,20 @@ def newton(fun, y0, tol=1e-10, max_iters=25, damped=True):
         nrm = np.max(np.abs(r))
         if nrm <= tol:
             return y, nrm, it
-        J = _fd_jacobian(fun, y, r)
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(jac(y), -r)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian in Newton iteration") from None
         if not np.all(np.isfinite(delta)):
             raise ConvergenceError("non-finite Newton update")
-        if damped:
-            scale = 1.0
-            while scale > 1.0 / 64.0:
-                r_try = fun(y + scale * delta)
-                if np.max(np.abs(r_try)) < nrm:
-                    break
-                scale *= 0.5
-            y = y + scale * delta
-            r = fun(y)
-        else:
-            y = y + delta
-            r = fun(y)
+        scale = 2.0
+        while scale > 1.0 / 64.0:
+            scale *= 0.5
+            y_try = y + scale * delta
+            r = fun(y_try)
+            if np.max(np.abs(r)) < nrm:
+                break
+        y = y_try
     nrm = np.max(np.abs(r))
     if nrm <= tol:
         return y, nrm, max_iters
@@ -113,7 +97,11 @@ def newton(fun, y0, tol=1e-10, max_iters=25, damped=True):
 def solve_equilibrium(model, params, guess, tol=1e-10):
     """Newton solve of f(x, ..., x, p) = 0 from the given guess."""
     params = np.asarray(params, dtype=float)
-    x, _, _ = newton(lambda x: model.equilibrium_residual(params, x), guess, tol=tol)
+    x, _, _ = newton(
+        lambda x: model.equilibrium_residual(params, x),
+        lambda x: model.frozen_derivatives(params, x)[0].sum(axis=0),
+        guess, tol=tol,
+    )
     return x
 
 
@@ -121,16 +109,20 @@ def solve_equilibrium(model, params, guess, tol=1e-10):
 # pseudo-arclength stepping, shared by branches and Hopf curves
 
 
-def _correct(residual, tangent, y_pred, tol, max_iters):
-    """Newton on [residual(y); tangent.(y - y_pred)] from the prediction y_pred."""
+def _correct(system, tangent, y_pred, tol, max_iters):
+    """Newton on [residual(y); tangent.(y - y_pred)] from the prediction y_pred.
 
-    def aug(y):
-        return np.concatenate([residual(y), [tangent @ (y - y_pred)]])
+    system is the pair (residual, jacobian) of the underdetermined system.
+    """
+    residual, jacobian = system
+    return newton(
+        lambda y: np.concatenate([residual(y), [tangent @ (y - y_pred)]]),
+        lambda y: np.vstack([jacobian(y), tangent]),
+        y_pred, tol=tol, max_iters=max_iters,
+    )
 
-    return newton(aug, y_pred, tol=tol, max_iters=max_iters)
 
-
-def _arclength(residual, y, direction, step, underflow_msg):
+def _arclength(system, y, direction, step, underflow_msg):
     """Accepted pseudo-arclength steps (y, h) from y, computed lazily.
 
     Predicts along the normalized direction, then along the secant of the
@@ -147,7 +139,7 @@ def _arclength(residual, y, direction, step, underflow_msg):
         while True:
             try:
                 y_new, _, iters = _correct(
-                    residual, tangent, y + h * tangent, step.corrector_tol,
+                    system, tangent, y + h * tangent, step.corrector_tol,
                     step.max_corrector_iters,
                 )
                 break
@@ -281,14 +273,25 @@ def continue_branch(
     return list(reversed(legs.get(-1.0, []))) + [start] + legs.get(+1.0, [])
 
 
+def _branch_system(model, pvec_base, fidx):
+    """Residual and exact Jacobian of the equilibrium condition in y = [x, p_free]."""
+    n = model.n
+
+    def residual(y):
+        return model.equilibrium_residual(_with_param(pvec_base, fidx, y[n]), y[:n])
+
+    def jacobian(y):
+        A, fp = model.frozen_derivatives(_with_param(pvec_base, fidx, y[n]), y[:n])
+        return np.hstack([A.sum(axis=0), fp[:, [fidx]]])
+
+    return residual, jacobian
+
+
 def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
     """One direction: a natural first step, then arclength steps to the range end."""
     lo, hi = bounds
     n = model.n
     out = []
-
-    def residual(y):
-        return model.equilibrium_residual(_with_param(pvec_base, fidx, y[n]), y[:n])
 
     def solve_at(pval, x_seed):
         return solve_equilibrium(model, _with_param(pvec_base, fidx, pval), x_seed)
@@ -306,7 +309,8 @@ def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
     accept(p1, x1, sgn * step.initial)
     y1 = np.concatenate([x1, [p1]])
     steps = _arclength(
-        residual, y1, y1 - np.concatenate([start.x, [start.param]]), step,
+        _branch_system(model, pvec_base, fidx), y1,
+        y1 - np.concatenate([start.x, [start.param]]), step,
         "continuation step underflow (corrector keeps failing)",
     )
     while len(out) < step.max_points:
@@ -392,16 +396,43 @@ def _free_indices(model, free_names):
     return tuple(model.param_names.index(name) for name in names)
 
 
-def _hopf_residual(model, pvec_base, fidx1, fidx2, c_row, y, n):
-    x = y[:n]
-    q = y[n : 2 * n] + 1j * y[2 * n : 3 * n]
-    omega = y[3 * n]
-    pv = _with_param(pvec_base, [fidx1, fidx2], y[3 * n + 1 : 3 * n + 3])
-    lin = linearize(model, pv, x, check_equilibrium=False)
-    eqres = model.equilibrium_residual(pv, x)
-    w = char_matrix(lin, 1j * omega) @ q
-    norm = c_row @ q - 1.0
-    return np.concatenate([eqres, w.real, w.imag, [norm.real, norm.imag]])
+def _hopf_system(model, pvec_base, free, c_row):
+    """Residual and exact Jacobian of the extended Hopf system, y = [x, Re q, Im q, omega, p1, p2].
+
+    With E_j = exp(-i omega tau_j), w = Delta(i omega) q moves along a state
+    component or free parameter z by -sum_j (d_z A_j - i omega d_z tau_j A_j) E_j q.
+    """
+    n = model.n
+
+    def unpack(y):
+        pv = _with_param(pvec_base, free, y[3 * n + 1 : 3 * n + 3])
+        return y[:n], y[n : 2 * n] + 1j * y[2 * n : 3 * n], y[3 * n], pv
+
+    def residual(y):
+        x, q, omega, pv = unpack(y)
+        lin = linearize(model, pv, x, check_equilibrium=False)
+        eqres = model.equilibrium_residual(pv, x)
+        w = char_matrix(lin, 1j * omega) @ q
+        norm = c_row @ q - 1.0
+        return np.concatenate([eqres, w.real, w.imag, [norm.real, norm.imag]])
+
+    def jacobian(y):
+        x, q, omega, pv = unpack(y)
+        lin = linearize(model, pv, x, check_equilibrium=False)
+        A, fp = model.frozen_derivatives(pv, x)
+        dA, dtau = model.frozen_derivatives(pv, x, order=2)
+        z = list(range(n)) + [n + k for k in free]  # x, then the free parameters
+        E = np.exp(-1j * omega * np.array(lin.taus))
+        dw = (1j * omega * (A @ q).T @ (E[:, None] * dtau[:, z])
+              - np.tensordot(E, dA[..., z], 1).swapaxes(1, 2) @ q)
+        D = char_matrix(lin, 1j * omega)
+        dD = 1j * char_matrix_deriv(lin, 1j * omega) @ q
+        W = np.hstack([dw[:, :n], D, 1j * D, dD[:, None], dw[:, n:]])
+        N = np.concatenate([np.zeros(n), c_row, 1j * c_row, np.zeros(3)])
+        eq = np.hstack([A.sum(axis=0), np.zeros((n, 2 * n + 1)), fp[:, free]])
+        return np.vstack([eq, W.real, W.imag, N.real, N.imag])
+
+    return residual, jacobian
 
 
 def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
@@ -411,7 +442,6 @@ def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
     """
     f1, f2 = _free_indices(model, free_names)
     pvec = model.params_from(assignments)
-    n = model.n
     x0 = np.asarray(x_guess, dtype=float)
     try:
         x0 = solve_equilibrium(model, pvec, x0)
@@ -424,16 +454,12 @@ def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
     c_row = q0.conj() / (q0.conj() @ q0)
 
     y = np.concatenate([x0, q0.real, q0.imag, [float(omega_guess), pvec[f1], pvec[f2]]])
-
-    def fun(z):
-        yy = y.copy()
-        yy[: 3 * n + 2] = z  # x, q, omega, p1 free; p2 fixed
-        return _hopf_residual(model, pvec, f1, f2, c_row, yy, n)
-
-    z0 = y[: 3 * n + 2]
-    z, _, _ = newton(fun, z0, tol=1e-11, max_iters=30)
-    y[: 3 * n + 2] = z
-    return y, c_row
+    residual, jacobian = _hopf_system(model, pvec, [f1, f2], c_row)
+    z, _, _ = newton(  # x, q, omega and p1 free; p2 = y[-1] fixed
+        lambda z: residual(np.append(z, y[-1])), lambda z: jacobian(np.append(z, y[-1]))[:, :-1],
+        y[:-1], tol=1e-11, max_iters=30,
+    )
+    return np.append(z, y[-1]), c_row
 
 
 def continue_hopf_curve(
@@ -461,9 +487,8 @@ def continue_hopf_curve(
     pvec_base = model.params_from(assignments)
     n = model.n
     y0, c_row = start_hopf_curve(model, assignments, free_names, x_guess, omega_guess)
-
-    def residual(y):
-        return _hopf_residual(model, pvec_base, f1, f2, c_row, y, n)
+    system = _hopf_system(model, pvec_base, [f1, f2], c_row)
+    residual = system[0]
 
     def curve_l1(y):
         pv = _with_param(pvec_base, [f1, f2], y[3 * n + 1 : 3 * n + 3])
@@ -490,28 +515,27 @@ def continue_hopf_curve(
         return point
 
     start = make_point(y0)
-    legs = {sgn: _curve_leg(residual, make_point, y0, sgn, step, n) for sgn in signs}
+    legs = {sgn: _curve_leg(system, make_point, y0, sgn, step, n) for sgn in signs}
     forward = legs.get(+1.0, [])
     backward = legs.get(-1.0, [])
     pts = [pt for _, pt in reversed(backward)] + [start] + [pt for _, pt in forward]
     ys = [y for y, _ in reversed(backward)] + [y0] + [y for y, _ in forward]
 
     if monitor_l1:
-        pts = _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n)
+        pts = _locate_l1_zeros(system, make_point, curve_l1, ys, pts, n)
     return pts
 
 
-def _curve_leg(residual, make_point, y_start, sgn, step, n):
+def _curve_leg(system, make_point, y_start, sgn, step, n):
     """One direction: arclength steps from the nullspace tangent of the extended system."""
-    J = _fd_jacobian(residual, y_start)
-    _, _, Vh = np.linalg.svd(J)
+    _, _, Vh = np.linalg.svd(system[1](y_start))
     tangent = Vh[-1]
     # deterministic orientation: first free parameter increases for sgn=+1
     ref = tangent[3 * n + 1]
     if abs(ref) < 1e-12:
         ref = tangent[int(np.argmax(np.abs(tangent)))]
     steps = _arclength(
-        residual, y_start, tangent * (np.sign(ref) * sgn), step,
+        system, y_start, tangent * (np.sign(ref) * sgn), step,
         "Hopf-curve corrector failure after step underflow",
     )
     out = []
@@ -533,7 +557,7 @@ def _simplicity_lost(model, pvec_base, f1, f2, y, n):
     return n > 1 and s[-2] < 1e-8 * max(s[0], 1.0)
 
 
-def _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n):
+def _locate_l1_zeros(system, make_point, curve_l1, ys, pts, n):
     out = list(pts)
     inserted = 0
     for k in range(len(pts) - 1):
@@ -545,24 +569,24 @@ def _locate_l1_zeros(residual, make_point, curve_l1, ys, pts, n):
         ya, yb = ys[k], ys[k + 1]
         seg = yb - ya
         tangent = seg / np.linalg.norm(seg)
+        span = np.hypot(seg[3 * n + 1], seg[3 * n + 2])  # (p1, p2) distance per unit t
         ta, tb, la, lb = 0.0, 1.0, a.L1, b.L1
-        y_t, kept = None, 0
+        y_t, t, kept = None, None, 0
         for _ in range(60):
-            t = tb - lb * (tb - ta) / (lb - la)  # secant
+            t_prev, t = t, tb - lb * (tb - ta) / (lb - la)  # secant
             t = min(max(t, 0.0), 1.0)
             y_pred = ya + t * seg
 
-            y_t, _, _ = _correct(residual, tangent, y_pred, 1e-10, 12)
+            y_t, _, _ = _correct(system, tangent, y_pred, 1e-10, 12)
             l_t = curve_l1(y_t)
             if np.sign(l_t) == np.sign(la):  # Illinois: halve the L1 of an end kept twice
                 ta, la, lb, kept = t, l_t, (lb / 2 if kept == 1 else lb), 1
             else:
                 tb, lb, la, kept = t, l_t, (la / 2 if kept == -1 else la), -1
-            dp = np.hypot(
-                (yb[3 * n + 1] - ya[3 * n + 1]) * (tb - ta),
-                (yb[3 * n + 2] - ya[3 * n + 2]) * (tb - ta),
-            )
-            if dp <= 1e-6:
+            # stop on a narrow bracket, or on a step that barely moved (p1, p2): there
+            # L1 is down to roundoff and its sign no longer says which side is which
+            moved = tb - ta if t_prev is None else min(tb - ta, abs(t - t_prev))
+            if span * moved <= 1e-6:
                 break
         if y_t is not None:
             out.insert(k + 1 + inserted, make_point(y_t, event="L1_ZERO", L1=l_t))

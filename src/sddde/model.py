@@ -292,8 +292,13 @@ _NUMPY_FUNCS = {**{name: f"np.{name}" for name in FUNCTIONS}, "atan": "np.arctan
 _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _emit(node, funcs=_MATH_FUNCS):
-    """Python source of one expression: P[k] for parameter k, x<i>_<j> for x<i>@<j>."""
+def _emit(node, funcs=_MATH_FUNCS, names=None):
+    """Python source of one expression: P[k] for parameter k, x<i>_<j> for x<i>@<j>.
+
+    names maps subexpressions already bound to a local to that local's name.
+    """
+    if names and node in names:
+        return names[node]
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Param):
@@ -301,13 +306,13 @@ def _emit(node, funcs=_MATH_FUNCS):
     if isinstance(node, State):
         return f"x{node.comp}_{node.slot}"
     if isinstance(node, Neg):
-        return f"(-{_emit(node.arg, funcs)})"
+        return f"(-{_emit(node.arg, funcs, names)})"
     if isinstance(node, Pow):
-        return f"({_emit(node.base, funcs)})**({node.power})"
+        return f"({_emit(node.base, funcs, names)})**({node.power})"
     if isinstance(node, Bin):
-        return f"({_emit(node.left, funcs)} {node.op} {_emit(node.right, funcs)})"
+        return f"({_emit(node.left, funcs, names)} {node.op} {_emit(node.right, funcs, names)})"
     if isinstance(node, Call):
-        return f"{funcs[node.func]}({_emit(node.arg, funcs)})"
+        return f"{funcs[node.func]}({_emit(node.arg, funcs, names)})"
     raise ModelError(f"cannot compile node {node!r}")
 
 
@@ -417,6 +422,7 @@ class Model:
         self._rhs_fns = tuple(compile_expr(e) for e in rhs_exprs)
         self._functional = _compile_functional(n, delay_exprs, rhs_exprs)
         self._on_nodes = _compile_functional(n, delay_exprs, rhs_exprs, nodes=True)
+        self._derivs = {}  # evaluators of frozen_derivatives by order
 
     # -- raw coefficient evaluation ------------------------------------
 
@@ -482,6 +488,27 @@ class Model:
 
     def _frozen(self, x):  # slot matrix with every slot at the state x
         return [[v] * self.m for v in _floats(x, (self.n,), "state vector")]
+
+    # -- exact slot derivatives, every slot at x -------------------------
+
+    def frozen_derivatives(self, params, x, order=1):
+        """Exact slot derivatives with every slot at x; each order is compiled on first use.
+
+        order 1: [A, df/dp], A[j] = df/dx@(j+1) of shape (m, n, n), df/dp of shape (n, n_p).
+        order 2: [dA, dtau] along z = (x_1..x_n, p_1..p_np), x moving in every slot at
+        once: dA[j, r, i, z] = d A_j[r, i] / dz, shape (m, n, n, n + n_p), and
+        dtau[j, z] = d tau_j / dz for the delay of slot j + 1, shape (m, n + n_p).
+        """
+        if order not in self._derivs:
+            from .symbolic import slot_derivatives
+
+            self._derivs[order] = slot_derivatives(self, order)
+        X = _floats(x, (self.n,), "state vector")
+        P = _floats(params, (self.n_p,), "parameter vector")
+        try:
+            return self._derivs[order](X, P)
+        except _MATH_ERRORS as err:
+            raise NumericalError(f"numerical failure: {err}") from err
 
     # -- equilibrium helpers ----------------------------------------------
 

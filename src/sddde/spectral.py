@@ -54,7 +54,7 @@ class Linearization:
 
 
 def linearize(model, params, xstar, check_equilibrium=True):
-    """Slot-wise central-difference linearization at an equilibrium."""
+    """Linearization at an equilibrium: A_j = df/dx@j exactly, from the model's derivative ASTs."""
     params = np.asarray(params, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     if check_equilibrium:
@@ -63,19 +63,7 @@ def linearize(model, params, xstar, check_equilibrium=True):
             raise NumericalError(
                 f"linearize requires an equilibrium; residual is {np.max(np.abs(res)):.3e}"
             )
-    n, m = model.n, model.m
-    step = 1e-6 * (1.0 + np.max(np.abs(xstar)))
-    base = np.tile(xstar[:, None], (1, m))
-    A = []
-    for j in range(m):
-        Aj = np.zeros((n, n))
-        for i in range(n):
-            xp = base.copy()
-            xm = base.copy()
-            xp[i, j] += step
-            xm[i, j] -= step
-            Aj[:, i] = (model.eval_rhs(xp, params) - model.eval_rhs(xm, params)) / (2 * step)
-        A.append(Aj)
+    A, _ = model.frozen_derivatives(params, xstar)
     taus = model.frozen_delays(params, xstar)
     return Linearization(tuple(A), tuple(float(t) for t in taus), params, xstar)
 

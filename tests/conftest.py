@@ -43,6 +43,31 @@ def model_path(name):
     return MODELS / name
 
 
+def sympy_expr(sp, node, params, slots):
+    """A model expression as a sympy expression: params[k] for parameter k and
+    slots[j - 1][i - 1] for x<i>@<j>."""
+    from sddde.model import Bin, Neg, Num, Param, Pow, State
+
+    def walk(node):
+        if isinstance(node, Num):
+            return sp.Float(node.value, 30)
+        if isinstance(node, Param):
+            return params[node.index]
+        if isinstance(node, State):
+            return slots[node.slot - 1][node.comp - 1]
+        if isinstance(node, Neg):
+            return -walk(node.arg)
+        if isinstance(node, Pow):
+            return walk(node.base) ** node.power
+        if isinstance(node, Bin):
+            left, right = walk(node.left), walk(node.right)
+            return {"+": left + right, "-": left - right, "*": left * right,
+                    "/": left / right}[node.op]
+        return getattr(sp, node.func)(walk(node.arg))
+
+    return walk(node)
+
+
 @pytest.fixture(scope="session")
 def pi_half():
     return float(np.pi / 2)

@@ -76,7 +76,7 @@ class TestSubcommands:
         assert code == 2
         assert "not assigned" in err
 
-    def test_bad_fd_step_is_usage_error(self, capsys):
+    def test_bad_deriv_radius_is_usage_error(self, capsys):
         code, _, err = invoke(
             capsys,
             ["hopf-nf", "--model", SCALAR, "--par", "p=-1.5707963",

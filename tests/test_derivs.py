@@ -19,7 +19,8 @@ from sddde import (
     poly_multiply,
     sup_norm,
 )
-from sddde.model import Bin, Neg, Num, Param, Pow, State
+
+from conftest import sympy_expr
 
 PI_2 = np.pi / 2
 
@@ -241,27 +242,11 @@ class TestSymbolicOracle:
                 for i, x in enumerate(xstar)
             ]
 
-        def walk(node, slots):
-            if isinstance(node, Num):
-                return sp.Float(node.value, 30)
-            if isinstance(node, Param):
-                return sp.Float(params[node.index], 30)
-            if isinstance(node, State):
-                return slots[node.slot - 1][node.comp - 1]
-            if isinstance(node, Neg):
-                return -walk(node.arg, slots)
-            if isinstance(node, Pow):
-                return walk(node.base, slots) ** node.power
-            if isinstance(node, Bin):
-                left, right = walk(node.left, slots), walk(node.right, slots)
-                return {"+": left + right, "-": left - right, "*": left * right,
-                        "/": left / right}[node.op]
-            return getattr(sp, node.func)(walk(node.arg, slots))
-
+        prm = [sp.Float(p, 30) for p in params]
         slots = [hist(sp.Integer(0))]
         for expr in model.delay_exprs[1:]:
-            slots.append(hist(-walk(expr, slots)))
-        return [walk(expr, slots) for expr in model.rhs_exprs]
+            slots.append(hist(-sympy_expr(sp, expr, prm, slots)))
+        return [sympy_expr(sp, expr, prm, slots) for expr in model.rhs_exprs]
 
     def test_derivatives_match_sympy(self, poscontrol_setup):
         sp = pytest.importorskip("sympy")

@@ -140,13 +140,13 @@ class TestCharacteristicRoots:
 # depend on the libm and LAPACK numpy runs on; they pin the root finder's
 # output across refactors on one platform.
 ROOT_GOLDEN = {
-    ("scalar_nested", -1.7, 6, 3.0): "bfa7f9e3b954c42ece338697a492326b41e5f47e910ec142f6032f712a95a63a",
-    ("scalar_nested", -1.9, 6, 3.0): "808686588d85f6ba817610345dc492ce3cb3307384159f75d29a605be7a0f2ae",
-    ("position_control", (0.6, 2.0), 6, 3.0): "4f90ee63896d37473b6e23588a97a5a8a887e92f51a816395358b2c3b26420c0",
-    ("position_control", (1.0, 4.0), 6, 3.0): "14a6ac33f72f1282d69d7cfae23ab3d005251823ff11a415b6bfc5b15f9a3577",
-    ("scalar_nested", -1.9, 8, 2.0): "40f1f1bac14274a994abc058daf705734c74dd97ef0ce02bf7964df91bc42359",
-    ("scalar_nested", -PI_2, 8, 2.0): "de5c99f4f8a96313e5574924d6f5d3e0be55f3a34582be33f1138c57a3930538",
-    ("scalar_nested", -1.2, 8, 2.0): "366d78fd925f6083aec1e12ed1b8ab332ad3e40e70f05089b48bd7ad6382e97b",
+    ("scalar_nested", -1.7, 6, 3.0): "fdbf67db97c0bcc3e9856e29563651a6ae00d9284615fc72a8a87342866e22e0",
+    ("scalar_nested", -1.9, 6, 3.0): "b67470bf7f31e226e112b62f366ec428453cb25252388d8f6b15f47afcd8618e",
+    ("position_control", (0.6, 2.0), 6, 3.0): "fa4822e6db5e741c7327a9fdae15f46dfca61913bb9a1a18fb351cec0febfb63",
+    ("position_control", (1.0, 4.0), 6, 3.0): "f3f797d315db592dde084debe2ae72d6fbe0566ead88ab535febb5103154d2c8",
+    ("scalar_nested", -1.9, 8, 2.0): "ca7a72084f0e16fb5f30d614e8c6144eb90c4ea95a34a0463c80b614f0ec57c8",
+    ("scalar_nested", -PI_2, 8, 2.0): "3cc22b60ce2fabe9393f7bc17a3b3c4e7066ed32a65d90ef162c685f08efeb52",
+    ("scalar_nested", -1.2, 8, 2.0): "77aa1f21addc65881dffe4b6a3f761336019f159e1749aaca4ac2d06ca529f2d",
 }
 
 
@@ -162,18 +162,93 @@ def _equilibrium_lin(model, setting):
     return linearize(model, params, solve_equilibrium(model, params, np.array(guess)))
 
 
+# The same roots and multiplicities as computed from the slot-wise central-difference
+# linearization that exact slot derivatives replaced (its A_j were off by up to
+# 4e-11), as repr floats: the exact roots must stay within 1e-10 relative of them.
+ROOT_FD = {
+    ("scalar_nested", -1.7, 6, 3.0): [
+        ((0.0331454304238507+0.9446295424372292j), 1),
+        ((0.0331454304238507-0.9446295424372292j), 1),
+        ((-0.896757440624462+4.504391708591651j), 1),
+        ((-0.896757440624462-4.504391708591651j), 1),
+        ((-1.2463717411490394+8.227542540945608j), 1),
+        ((-1.2463717411490394-8.227542540945608j), 1),
+    ],
+    ("scalar_nested", -1.9, 6, 3.0): [
+        ((0.07156162651749204+0.8699329519969496j), 1),
+        ((0.07156162651749204-0.8699329519969496j), 1),
+        ((-0.743357080383225+4.037854248310097j), 1),
+        ((-0.743357080383225-4.037854248310097j), 1),
+        ((-1.0563188520834474+7.36564556979498j), 1),
+        ((-1.0563188520834474-7.36564556979498j), 1),
+    ],
+    ("position_control", (0.6, 2.0), 6, 3.0): [
+        ((-0.11330669201576696+0.8206904764217162j), 1),
+        ((-0.11330669201576696-0.8206904764217162j), 1),
+        ((-0.5887230474126987+2.90082268257739j), 1),
+        ((-0.5887230474126987-2.90082268257739j), 1),
+        ((-0.9325354127582989+5.312168963755769j), 1),
+        ((-0.9325354127582989-5.312168963755769j), 1),
+    ],
+    ("position_control", (1.0, 4.0), 6, 3.0): [
+        ((-0.0037079494204400043+0.5170536734833144j), 1),
+        ((-0.0037079494204400043-0.5170536734833144j), 1),
+        ((-0.13490362592649796+1.5461222896633873j), 1),
+        ((-0.13490362592649796-1.5461222896633873j), 1),
+        ((-0.3353224921209307+2.752202455523224j), 1),
+        ((-0.3353224921209307-2.752202455523224j), 1),
+    ],
+    ("scalar_nested", -1.9, 8, 2.0): [
+        ((0.07156162651749204+0.8699329519969496j), 1),
+        ((0.07156162651749204-0.8699329519969496j), 1),
+        ((-0.743357080383225+4.037854248310097j), 1),
+        ((-0.743357080383225-4.037854248310097j), 1),
+        ((-1.0563188520834474+7.36564556979498j), 1),
+        ((-1.0563188520834474-7.36564556979498j), 1),
+        ((-1.2503983944827777+10.686248351619735j), 1),
+        ((-1.2503983944827777-10.686248351619735j), 1),
+    ],
+    ("scalar_nested", -PI_2, 8, 2.0): [
+        ((-1.5609923076365106e-11+0.9999999999900651j), 1),
+        ((-1.5609923076365106e-11-0.9999999999900651j), 1),
+        ((-1.0213233161528052+4.868353806074707j), 1),
+        ((-1.0213233161528052-4.868353806074707j), 1),
+        ((-1.3995083847071217+8.900713649340714j), 1),
+        ((-1.3995083847071217-8.900713649340714j), 1),
+        ((-1.6340144665085052+12.919910264740006j), 1),
+        ((-1.6340144665085052-12.919910264740006j), 1),
+    ],
+    ("scalar_nested", -1.2, 8, 2.0): [
+        ((-0.15871915756079286+1.199352945995334j), 1),
+        ((-0.15871915756079286-1.199352945995334j), 1),
+        ((-1.5641210035109674+6.343528518276239j), 1),
+        ((-1.5641210035109674-6.343528518276239j), 1),
+    ],
+}
+
+
+def _pinned_roots(key, scalar_model, poscontrol_model):
+    name, setting, count, cutoff = key
+    lin = _equilibrium_lin(scalar_model if name == "scalar_nested" else poscontrol_model, setting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return characteristic_roots(lin, count=count, re_cutoff=cutoff)
+
+
 class TestRootBytes:
     @pytest.mark.parametrize("key", list(ROOT_GOLDEN))
     def test_roots_are_pinned(self, key, scalar_model, poscontrol_model):
-        name, setting, count, cutoff = key
-        model = scalar_model if name == "scalar_nested" else poscontrol_model
-        lin = _equilibrium_lin(model, setting)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            roots = characteristic_roots(lin, count=count, re_cutoff=cutoff)
+        roots = _pinned_roots(key, scalar_model, poscontrol_model)
         data = (np.array([z for z, _ in roots], dtype="<c16").tobytes()
                 + np.array([k for _, k in roots], dtype="<i8").tobytes())
         assert hashlib.sha256(data).hexdigest() == ROOT_GOLDEN[key]
+
+    @pytest.mark.parametrize("key", list(ROOT_FD))
+    def test_roots_match_the_difference_linearization(self, key, scalar_model, poscontrol_model):
+        roots = _pinned_roots(key, scalar_model, poscontrol_model)
+        assert [k for _, k in roots] == [k for _, k in ROOT_FD[key]]
+        for (z, _), (z_fd, _) in zip(roots, ROOT_FD[key]):
+            assert abs(z - z_fd) <= 1e-10 * abs(z_fd)
 
 
 CRITERION6 = [("scalar_nested", p) for p in (-1.2, -1.4, -PI_2, -1.7, -1.9)] + [
