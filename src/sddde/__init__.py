@@ -26,10 +26,8 @@ from .spectral import (
     spectral_projection,
 )
 from .normalform import (
-    HomologicalSystem,
     HopfNF,
     fold_coefficient,
-    homological_solve,
     hopf_h2,
     hopf_l1,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "DerivSettings",
     "EigenData",
     "ExpPoly",
-    "HomologicalSystem",
     "HopfCurvePoint",
     "HopfNF",
     "Linearization",
@@ -76,7 +73,6 @@ __all__ = [
     "eigenfunction",
     "fold_coefficient",
     "hopf_coordinates",
-    "homological_solve",
     "hopf_eigendata",
     "hopf_h2",
     "hopf_l1",

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .normalform import hopf_l1
 from .spectral import (
+    _nullity,
     char_matrix,
     char_matrix_deriv,
     characteristic_roots,
@@ -36,19 +37,20 @@ from .spectral import (
 )
 
 _IM_TOL = 1e-8
+# step control of _arclength
+_MIN_STEP = 1e-5
+_GROW = 1.5
+_SHRINK = 0.5
+_CORRECTOR_TOL = 1e-10
+_MAX_CORRECTOR_ITERS = 10
+_FAST_ITERS = 3
 
 
 @dataclass(frozen=True)
 class StepSettings:
     initial: float = 0.05
-    min_step: float = 1e-5
     max_step: float = 0.5
-    grow: float = 1.5
-    shrink: float = 0.5
     max_points: int = 400
-    corrector_tol: float = 1e-10
-    max_corrector_iters: int = 10
-    fast_iters: int = 3
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ def _arclength(system, y, direction, step, underflow_msg):
 
     Predicts along the normalized direction, then along the secant of the
     last two points; h starts at step.initial, halves on corrector failure
-    down to step.min_step and grows after fast convergence. A zero secant
+    down to _MIN_STEP and grows after fast convergence. A zero secant
     ends the steps.
     """
     h = step.initial
@@ -139,19 +141,18 @@ def _arclength(system, y, direction, step, underflow_msg):
         while True:
             try:
                 y_new, _, iters = _correct(
-                    system, tangent, y + h * tangent, step.corrector_tol,
-                    step.max_corrector_iters,
+                    system, tangent, y + h * tangent, _CORRECTOR_TOL, _MAX_CORRECTOR_ITERS
                 )
                 break
             except ConvergenceError:
-                h *= step.shrink
-                if h < step.min_step:
+                h *= _SHRINK
+                if h < _MIN_STEP:
                     raise ConvergenceError(underflow_msg) from None
         yield y_new, h
         direction = y_new - y
         y = y_new
-        if iters <= step.fast_iters:
-            h = min(h * step.grow, step.max_step)
+        if iters <= _FAST_ITERS:
+            h = min(h * _GROW, step.max_step)
 
 
 def _leg_signs(direction):
@@ -553,8 +554,7 @@ def _curve_leg(system, make_point, y_start, sgn, step, n):
 def _simplicity_lost(model, pvec_base, f1, f2, y, n):
     pv = _with_param(pvec_base, [f1, f2], y[3 * n + 1 : 3 * n + 3])
     lin = linearize(model, pv, y[:n], check_equilibrium=False)
-    s = np.linalg.svd(char_matrix(lin, 1j * y[3 * n]), compute_uv=False)
-    return n > 1 and s[-2] < 1e-8 * max(s[0], 1.0)
+    return _nullity(char_matrix(lin, 1j * y[3 * n])) > 1
 
 
 def _locate_l1_zeros(system, make_point, curve_l1, ys, pts, n):

@@ -435,15 +435,6 @@ class Model:
         except _MATH_ERRORS as err:
             raise NumericalError(f"numerical failure: {err}") from err
 
-    def eval_delay(self, j, xmat, params):
-        """Delay of slot j (1-based); math errors raise NumericalError."""
-        X = _floats(xmat, (self.n, self.m), "slot matrix")
-        P = _floats(params, (self.n_p,), "parameter vector")
-        try:
-            return self._delay_fns[j - 1](X, P)
-        except _MATH_ERRORS as err:
-            raise NumericalError(f"numerical failure: {err}") from err
-
     # -- functional ------------------------------------------------------
 
     def eval_functional(self, params, u, tau_max=None):
@@ -518,19 +509,32 @@ class Model:
 
     def frozen_delays(self, params, x, tau_max=None):
         """All delays evaluated with every slot frozen at x."""
+        taus = self._frozen_taus(params, x)
         if tau_max is None:
-            tau_max = self.resolve_tau_max(params, x)
-        X = self._frozen(x)
+            tau_max = self._tau_max_over(taus)
         return np.array([0.0] + [
-            _checked_delay(j, self.eval_delay(j, X, params), tau_max) for j in range(2, self.m + 1)
+            _checked_delay(j, tau, tau_max) for j, tau in enumerate(taus, start=2)
         ])
 
     def resolve_tau_max(self, params, x):
         """Declared tau_max, else a margin over the max frozen delay at x."""
         if self.declared_tau_max is not None:
             return self.declared_tau_max
+        return self._tau_max_over(self._frozen_taus(params, x))
+
+    def _frozen_taus(self, params, x):
+        """Delays of slots 2..m with every slot at x; math errors raise NumericalError."""
         X = self._frozen(x)
-        taus = [self.eval_delay(j, X, params) for j in range(2, self.m + 1)]
+        P = _floats(params, (self.n_p,), "parameter vector")
+        try:
+            return [fn(X, P) for fn in self._delay_fns[1:]]
+        except _MATH_ERRORS as err:
+            raise NumericalError(f"numerical failure: {err}") from err
+
+    def _tau_max_over(self, taus):
+        """Declared tau_max, else a margin over the frozen delays taus of slots 2..m."""
+        if self.declared_tau_max is not None:
+            return self.declared_tau_max
         for j, tau in enumerate(taus, start=2):
             if tau < -1e-12:
                 raise DelayRangeError(j, tau, float("inf"))

@@ -13,13 +13,10 @@ the complex directions. The fold coefficient is the quadratic coefficient
 on the one-dimensional center manifold of a simple zero root,
 a = p0 F2(q, q) / 2.
 
-hopf_h2 solves the HomologicalSystems of hopf_order2_systems, and
-_solve_regular is the one regular solve, shared with the generic
-homological-equation solver. Resonant orders carry a normal-form unknown
-and are solved through a bordered system with the solution forced
-orthogonal to the nullspace of L_h^T. hopf_l1 and fold_coefficient keep
-the direct p0 formulas: off the bifurcation set the bordered alpha is a
-different approximation.
+The homological equations at order 2 are the two regular solves of
+hopf_h2, Delta(2 i w) h20 = F2(q, q) and Delta(0) h11 = 2 F2(q, qbar),
+both through _solve_regular. The resonant orders need no solve: hopf_l1
+and fold_coefficient project onto p0 directly.
 """
 
 from dataclasses import dataclass, replace
@@ -27,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .derivs import DerivSettings, check_consistency, multilinear_form
-from .errors import DegenerateEigenvalueError, NumericalError, ResonanceError
+from .errors import DegenerateEigenvalueError, ResonanceError
 from .histfun import ExpPoly
 from .spectral import (
     EigenData,
@@ -74,12 +71,12 @@ def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
         forms = {name: multilinear_form(model, params, xstar, [q, w], settings)
                  for name, w in (("f2qq", q), ("f2qqbar", q.conjugate()))}
     f2qq, f2qqbar = forms["f2qq"], forms["f2qqbar"]
-    sys20, sys11 = hopf_order2_systems(lin, eig, f2qq, f2qqbar)
     h20_coef = _solve_regular(
-        sys20.L_h, sys20.rhs, "resonant Hopf: 1:2 resonance, Delta(2 i w) singular"
+        char_matrix(lin, 2j * eig.omega), f2qq,
+        "resonant Hopf: 1:2 resonance, Delta(2 i w) singular",
     )
     h11_coef = _solve_regular(
-        sys11.L_h, sys11.rhs, "resonant Hopf: Delta(0) singular (fold-Hopf)"
+        char_matrix(lin, 0.0), 2.0 * f2qqbar, "resonant Hopf: Delta(0) singular (fold-Hopf)"
     )
     h2_20 = ExpPoly.exponential(h20_coef, 2j * eig.omega)
     h2_11 = ExpPoly.constant(h11_coef)
@@ -162,100 +159,3 @@ def fold_coefficient(model, params, xstar, settings=None, lin=None):
     q = ExpPoly.constant(q0)
     f2qq = multilinear_form(model, params, xstar, [q, q], settings)
     return float(0.5 * (p0 @ f2qq.real))
-
-
-# ---------------------------------------------------------------------------
-# generic homological systems
-
-
-@dataclass(frozen=True)
-class HomologicalSystem:
-    """Linear system L_h h0 = L_alpha alpha + rhs for one monomial order.
-
-    L_alpha has zero columns at non-resonant orders (alpha empty). When
-    L_h is singular with kernel dimension d, [L_h, -L_alpha] must have
-    full rank and alpha is the unique d-vector making the system solvable.
-    """
-
-    order: int
-    L_h: np.ndarray
-    L_alpha: np.ndarray
-    rhs: np.ndarray
-    kernel_dim: int
-
-
-def homological_solve(sys):
-    """(h0, alpha) for a HomologicalSystem.
-
-    Non-resonant orders solve directly (alpha empty). Resonant orders use
-    the bordered system that forces h0 orthogonal to null(L_h^T).
-    """
-    k = sys.L_h.shape[0]
-    d = sys.L_alpha.shape[1] if sys.L_alpha.size else 0
-    if d == 0:
-        h0 = _solve_regular(
-            sys.L_h, sys.rhs, "homological system is singular but carries no normal-form unknown"
-        )
-        return h0, np.zeros(0, dtype=complex)
-    if sys.kernel_dim != d:
-        raise NumericalError(
-            f"normal-form unknown dimension {d} does not match kernel dimension "
-            f"{sys.kernel_dim}"
-        )
-    U, s, _ = np.linalg.svd(sys.L_h)
-    null_lh_t = U[:, k - d:].conj()  # columns span null(L_h^T)
-    bordered = np.zeros((k + d, k + d), dtype=complex)
-    bordered[:k, :k] = sys.L_h
-    bordered[:k, k:] = -sys.L_alpha
-    bordered[k:, :k] = null_lh_t.conj().T
-    rhs = np.concatenate([sys.rhs, np.zeros(d, dtype=complex)])
-    sb = np.linalg.svd(bordered, compute_uv=False)
-    if sb[-1] < 1e-12 * max(sb[0], 1.0):
-        raise NumericalError("bordered homological system is rank deficient")
-    sol = np.linalg.solve(bordered, rhs)
-    return sol[:k], sol[k:]
-
-
-def hopf_order2_systems(lin, eig, f2qq, f2qqbar):
-    """Homological systems whose solutions are the h2_20 / h2_11 coefficients."""
-    sys20 = HomologicalSystem(
-        order=2,
-        L_h=char_matrix(lin, 2j * eig.omega),
-        L_alpha=np.zeros((lin.n, 0), dtype=complex),
-        rhs=np.asarray(f2qq, dtype=complex),
-        kernel_dim=0,
-    )
-    sys11 = HomologicalSystem(
-        order=2,
-        L_h=char_matrix(lin, 0.0),
-        L_alpha=np.zeros((lin.n, 0), dtype=complex),
-        rhs=2.0 * np.asarray(f2qqbar, dtype=complex),
-        kernel_dim=0,
-    )
-    return sys20, sys11
-
-
-def hopf_order3_system(lin, eig, bracket):
-    """Resonant order-3 system; alpha is the cubic coefficient g21/2.
-
-    Built so that Re(alpha)/omega equals L1: L_h = Delta(i w), L_alpha =
-    -Delta'(i w) q0, rhs = bracket/2.
-    """
-    return HomologicalSystem(
-        order=3,
-        L_h=char_matrix(lin, 1j * eig.omega),
-        L_alpha=-(char_matrix_deriv(lin, 1j * eig.omega) @ eig.q0)[:, None],
-        rhs=0.5 * np.asarray(bracket, dtype=complex),
-        kernel_dim=1,
-    )
-
-
-def fold_order2_system(lin, q0, f2qq):
-    """Resonant order-2 system at a simple zero root; alpha is the fold a."""
-    return HomologicalSystem(
-        order=2,
-        L_h=char_matrix(lin, 0.0),
-        L_alpha=-(char_matrix_deriv(lin, 0.0) @ np.asarray(q0, dtype=complex))[:, None],
-        rhs=0.5 * np.asarray(f2qq, dtype=complex),
-        kernel_dim=1,
-    )

@@ -211,7 +211,7 @@ def characteristic_roots(lin, count=8, re_cutoff=2.0, cheb_nodes=32):
     if count < 1:
         raise SdddeError("count must be >= 1")
     seeds = generator_eigenvalues(lin, cheb_nodes)
-    seeds = seeds[np.argsort(-seeds.real)]
+    seeds = seeds[np.lexsort((-seeds.imag, -seeds.real))]  # descending Re, ties by Im
     seeds = seeds[: np.count_nonzero(seeds.real >= -re_cutoff - 0.5)]
     found = []
     for seed, result in zip(seeds, _refine_roots(lin, seeds)):

@@ -356,7 +356,7 @@ class TestArclengthStepper:
         monkeypatch.setattr(sddde.continuation, "_correct", failing)
         with pytest.raises(ConvergenceError, match="continuation step underflow"):
             self._scalar_forward(scalar_model, 5)
-        # h = 0.05 halves until it drops below min_step = 1e-5: 13 corrector attempts
+        # h = 0.05 halves until it drops below _MIN_STEP = 1e-5: 13 corrector attempts
         assert len(attempts) == 13
         attempts.clear()
         with pytest.raises(ConvergenceError, match="Hopf-curve corrector failure after step"):

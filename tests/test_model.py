@@ -200,12 +200,10 @@ class TestLengthChecks:
             (lambda: solve_equilibrium(model, params, np.array([4.0])), short_state),
             (lambda: model.frozen_delays(params, [4.0, 4.0, 4.0]),
              r"^state vector has shape \(3,\), expected \(2,\)$"),
+            (lambda: model.frozen_delays([1.0, 4.0], x), short_params),
             (lambda: model.eval_rhs(slots[:, :3], params),
              r"^slot matrix has shape \(2, 3\), expected \(2, 4\)$"),
             (lambda: model.eval_rhs(slots, [1.0, 4.0]), short_params),
-            (lambda: model.eval_delay(3, slots[:1], params),
-             r"^slot matrix has shape \(1, 4\), expected \(2, 4\)$"),
-            (lambda: model.eval_delay(3, slots, [1.0, 4.0]), short_params),
             (lambda: model.eval_functional([1.0, 4.0], x), short_params),
             (lambda: model.eval_on_nodes(params, [4.0], ExpPoly.constant([1.0, 0.0]),
                                          [0.1], 10.0), short_state),

@@ -9,10 +9,9 @@ from sddde import (
     ExpPoly,
     ResonanceError,
     char_matrix,
+    char_matrix_deriv,
     eigenfunction,
     fold_coefficient,
-    homological_solve,
-    hopf_eigendata,
     hopf_h2,
     hopf_l1,
     linearize,
@@ -20,12 +19,6 @@ from sddde import (
     parse_model,
 )
 from sddde.model import Model
-from sddde.normalform import (
-    HomologicalSystem,
-    fold_order2_system,
-    hopf_order2_systems,
-    hopf_order3_system,
-)
 from sddde.spectral import Linearization
 
 PI_2 = np.pi / 2
@@ -166,8 +159,6 @@ class TestHopfL1:
     def test_scaling_preserves_sign(self, scalar_model, scalar_nf):
         eig = scalar_nf.eig
         lin = linearize(scalar_model, [-PI_2], [-PI_2])
-        from sddde import char_matrix_deriv
-
         for c in (0.5, 2.0):
             q0 = eig.q0 * c
             p0 = eig.p0 / (eig.p0 @ char_matrix_deriv(lin, eig.lam) @ q0)
@@ -200,61 +191,45 @@ class TestFold:
             fold_coefficient(poscontrol_model, params, [4.0, 4.0])
 
 
-@pytest.fixture(scope="module")
-def pieces(scalar_model):
-    params = np.array([-PI_2])
-    x = np.array([-PI_2])
-    lin = linearize(scalar_model, params, x)
-    eig = hopf_eigendata(lin, 1.0)
-    q = eigenfunction(eig)
-    f2qq = multilinear_form(scalar_model, params, x, [q, q])
-    f2qqb = multilinear_form(scalar_model, params, x, [q, q.conjugate()])
-    nf = hopf_l1(scalar_model, params, x, 1.0)
-    return scalar_model, params, x, lin, eig, q, f2qq, f2qqb, nf
+def bordered_solve(L_h, L_alpha, rhs):
+    """(h, alpha) with L_h h = L_alpha alpha + rhs and h orthogonal to null(L_h^T).
+
+    At a resonant order L_h has a kernel of dimension d = L_alpha.shape[1];
+    the d bordering rows make the system regular and alpha is the
+    normal-form coefficient that makes it solvable.
+    """
+    k, d = L_alpha.shape
+    null_lh_t = np.linalg.svd(L_h)[0][:, k - d:]
+    bordered = np.block([[L_h, -L_alpha], [null_lh_t.T, np.zeros((d, d))]])
+    sol = np.linalg.solve(bordered, np.concatenate([rhs, np.zeros(d)]))
+    return sol[:k], sol[k:]
 
 
 class TestHomologicalSolve:
-    def test_order2_reproduces_h2(self, pieces):
-        _, _, _, lin, eig, _, f2qq, f2qqb, nf = pieces
-        sys20, sys11 = hopf_order2_systems(lin, eig, f2qq, f2qqb)
-        h20, a20 = homological_solve(sys20)
-        h11, a11 = homological_solve(sys11)
-        assert a20.size == 0 and a11.size == 0
-        assert np.max(np.abs(h20 - nf.h2_20.terms[0][0])) < 1e-10
-        assert np.max(np.abs(h11 - nf.h2_11.terms[0][0])) < 1e-10
-
-    def test_order3_alpha_gives_l1(self, pieces):
-        model, params, x, lin, eig, q, _, _, nf = pieces
+    def test_order3_alpha_gives_l1(self, scalar_model, scalar_nf):
+        # resonant order 3 at Delta(i w): alpha = g21/2, so Re(alpha)/w is L1
+        model, params, x, nf = scalar_model, [-PI_2], [-PI_2], scalar_nf
+        lin = linearize(model, params, x)
+        eig = nf.eig
+        q = eigenfunction(eig)
         f3 = multilinear_form(model, params, x, [q, q, q.conjugate()])
         t2 = multilinear_form(model, params, x, [q.conjugate(), nf.h2_20])
         t3 = multilinear_form(model, params, x, [q, nf.h2_11])
-        sys3 = hopf_order3_system(lin, eig, f3 + t2 + t3)
-        h21, alpha = homological_solve(sys3)
+        L_h = char_matrix(lin, 1j * eig.omega)
+        L_alpha = -(char_matrix_deriv(lin, 1j * eig.omega) @ eig.q0)[:, None]
+        rhs = 0.5 * (f3 + t2 + t3)
+        h21, alpha = bordered_solve(L_h, L_alpha, rhs)
         assert alpha.shape == (1,)
         assert alpha[0].real / eig.omega == pytest.approx(nf.L1, abs=1e-8)
         # the computed h21 satisfies the system together with alpha
-        residual = sys3.L_h @ h21 - sys3.L_alpha @ alpha - sys3.rhs
-        assert np.max(np.abs(residual)) < 1e-12
-
-    def test_regular_system_direct_solve(self):
-        L = np.array([[2.0, 1.0], [0.0, 3.0]], dtype=complex)
-        rhs = np.array([1.0, -1.0], dtype=complex)
-        sys = HomologicalSystem(2, L, np.zeros((2, 0), complex), rhs, 0)
-        h, alpha = homological_solve(sys)
-        assert alpha.size == 0
-        assert np.allclose(L @ h, rhs)
-
-    def test_singular_without_unknown_raises(self):
-        L = np.zeros((2, 2), dtype=complex)
-        sys = HomologicalSystem(2, L, np.zeros((2, 0), complex), np.ones(2, complex), 0)
-        with pytest.raises(ResonanceError):
-            homological_solve(sys)
+        assert np.max(np.abs(L_h @ h21 - L_alpha @ alpha - rhs)) < 1e-12
 
     def test_fold_system_equivalence(self):
+        # resonant order 2 at a simple zero root: alpha is the fold coefficient a
         m = parse_model('name="f"\ndim=1\nparameters=["p"]\ndelays=["0"]\nrhs=["p + x1@1^2"]\n')
         lin = linearize(m, [0.0], [0.0])
         q = ExpPoly.constant([1.0])
         f2qq = multilinear_form(m, [0.0], [0.0], [q, q])
-        sysf = fold_order2_system(lin, np.array([1.0]), f2qq)
-        _, alpha = homological_solve(sysf)
+        L_alpha = -(char_matrix_deriv(lin, 0.0) @ np.array([1.0]))[:, None]
+        _, alpha = bordered_solve(char_matrix(lin, 0.0), L_alpha, 0.5 * f2qq)
         assert alpha[0].real == pytest.approx(fold_coefficient(m, [0.0], [0.0]), abs=1e-8)
