@@ -1,18 +1,22 @@
 """Method-of-steps initial-value solver, used as a dynamical oracle.
 
-Fixed-step classical RK4 on Python floats; delayed values come from
-cubic-Hermite dense output over completed steps (value and derivative per
-node, kept as float lists and returned as arrays). When an evaluated delay
-is shorter than the step the stage values are resolved by a small number
-of fixed-point sweeps over a tentative interpolant for the current step.
+Fixed-step classical RK4 on Python floats. Each stage calls the model's
+compiled float functional on the dense state itself: node values and
+slopes as float lists, the initial history for times up to 0, and the
+tentative next node of the current step. That code reads delayed values by
+the cubic Hermite formula of :func:`_hermite`, which also serves
+:class:`Trajectory`. When an evaluated delay is shorter than the step the
+stage values are resolved by a small number of fixed-point sweeps over the
+tentative node.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SdddeError
-from .model import as_history, history_floats
+from .errors import ConvergenceError, NumericalError, SdddeError
+from .model import _MATH_ERRORS, _floats, as_history, history_floats
 
 _SWEEP_LIMIT = 5
 _SWEEP_TOL = 1e-12
@@ -27,6 +31,7 @@ class Trajectory:
     yp: np.ndarray        # (N+1, n) derivatives F(u_t) at the nodes
     history: object       # initial history callable on [-tau_max, 0]
     step: float
+    evals: int            # functional evaluations: 4 per sweep, plus the first slope
 
     @property
     def n(self):
@@ -34,6 +39,8 @@ class Trajectory:
 
     def __call__(self, time):
         """Dense evaluation; exact at nodes, cubic Hermite in between, no extrapolation."""
+        if not math.isfinite(time):
+            raise SdddeError("time must be finite")
         if time <= 0.0:
             return np.asarray(self.history(time), dtype=float)
         near = int(round(time / self.step))
@@ -67,31 +74,6 @@ def _hermite(y0, m0, y1, m1, s, h):
     return [a * v0 + b * d0 + c * v1 + d * d1 for v0, d0, v1, d1 in zip(y0, m0, y1, m1)]
 
 
-class _DenseState:
-    """History access across {initial history, completed steps, tentative step}."""
-
-    def __init__(self, history, step):
-        self.history = history
-        self.h = step
-        self.y = []               # node values and slopes, lists of floats
-        self.yp = []
-        self.tentative = None     # (y_next, yp_next) during the current step
-        self.used_tentative = False
-
-    def value(self, time):
-        if time <= 0.0:
-            return self.history(time)
-        h = self.h
-        k = len(self.y) - 1      # completed steps span [0, k*h]
-        if int(time / h) < k:
-            return _interpolate(self.y, self.yp, h, time)
-        if self.tentative is None:
-            raise SdddeError("history query beyond computed trajectory")
-        self.used_tentative = True
-        s = (time - k * h) / h
-        return _hermite(self.y[k], self.yp[k], *self.tentative, min(s, 1.0), h)
-
-
 def simulate(model, params, history, t_end, step, tau_max=None):
     """Integrate the sd-DDE from a history on [-tau_max, 0] to t_end.
 
@@ -100,9 +82,10 @@ def simulate(model, params, history, t_end, step, tau_max=None):
     relative 1e-9). Stage values needing not-yet-computed history are
     resolved by fixed-point sweeps (error if they do not settle).
     """
-    if step <= 0:
-        raise SdddeError("step must be positive")
-    params = np.asarray(params, dtype=float)
+    if not 0.0 < step < math.inf:
+        raise SdddeError("step must be positive and finite")
+    if not math.isfinite(t_end):
+        raise SdddeError("t_end must be finite")
     hist = as_history(history, model.n)
     x0 = history_floats(hist(0.0), model.n)
     if tau_max is None:
@@ -113,54 +96,42 @@ def simulate(model, params, history, t_end, step, tau_max=None):
         raise SdddeError("t_end must cover at least one step")
     if abs(nsteps * step - t_end) > 1e-9 * abs(t_end):
         raise SdddeError(f"t_end={t_end:g} is not a whole number of steps of {step:g}")
+    P = _floats(params, (model.n_p,), "parameter vector")
 
-    dense = _DenseState(hist, step)
-    dense.y.append(x0)
-
-    def rhs(t_abs, y_cur):
-        def u(theta):
-            if theta == 0.0:
-                return y_cur
-            return dense.value(t_abs + theta)
-
-        return model.eval_functional(params, u, tau_max=tau_max).tolist()
-
-    dense.yp.append(rhs(0.0, x0))
-
+    F = model._functional
     h = step
-    for k in range(nsteps):
-        t0 = k * h
-        y0 = dense.y[-1]
-        f0 = dense.yp[-1]
-        y_next, m_next = y0, f0
-        for _ in range(_SWEEP_LIMIT):
-            dense.tentative = (y_next, m_next)
-            dense.used_tentative = False
-            k1 = f0
-            k2 = rhs(t0 + h / 2, [a + (h / 2) * b for a, b in zip(y0, k1)])
-            k3 = rhs(t0 + h / 2, [a + (h / 2) * b for a, b in zip(y0, k2)])
-            k4 = rhs(t0 + h, [a + h * b for a, b in zip(y0, k3)])
-            y_new = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-            m_new = rhs(t0 + h, y_new)
-            settled = not dense.used_tentative or all(  # a NaN never settles
-                abs(a - b) <= _SWEEP_TOL for a, b in zip(y_new + m_new, y_next + m_next)
-            )
-            y_next, m_next = y_new, m_new
-            if settled:
-                break
-        else:
-            raise ConvergenceError(
-                f"fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}"
-            )
-        dense.tentative = None
-        dense.y.append(y_next)
-        dense.yp.append(m_next)
+    y, yp = [x0], []   # node values and slopes; during step k, y[k + 1] is tentative
+    sweeps = 0
+    try:
+        yp.append(F(P, hist, tau_max, x0, 0.0, h, 0, y, yp)[0])
+        for k in range(nsteps):
+            t0 = k * h
+            y0, k1 = y[k], yp[k]
+            y.append(y0)  # the first tentative node repeats node k
+            yp.append(k1)
+            for _ in range(_SWEEP_LIMIT):
+                sweeps += 1
+                k2, used2 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k1)],
+                              t0 + h / 2, h, k, y, yp)
+                k3, used3 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k2)],
+                              t0 + h / 2, h, k, y, yp)
+                k4, used4 = F(P, hist, tau_max, [a + h * b for a, b in zip(y0, k3)],
+                              t0 + h, h, k, y, yp)
+                y_new = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+                m_new, used5 = F(P, hist, tau_max, y_new, t0 + h, h, k, y, yp)
+                settled = not (used2 or used3 or used4 or used5) or all(  # a NaN never settles
+                    abs(a - b) <= _SWEEP_TOL for a, b in zip(y_new + m_new, y[-1] + yp[-1])
+                )
+                y[-1], yp[-1] = y_new, m_new
+                if settled:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}"
+                )
+    except _MATH_ERRORS as err:
+        raise NumericalError(f"numerical failure: {err}") from err
 
-    return Trajectory(
-        t=np.arange(nsteps + 1) * h,
-        y=np.array(dense.y),
-        yp=np.array(dense.yp),
-        history=hist,
-        step=step,
-    )
+    return Trajectory(t=np.arange(nsteps + 1) * h, y=np.array(y), yp=np.array(yp),
+                      history=hist, step=step, evals=1 + 4 * sweeps)

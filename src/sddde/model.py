@@ -331,26 +331,56 @@ def compile_expr(node):
     return _compile("X, P", body + [f"return {_emit(node)}"])
 
 
-def _compile_functional(n, delay_exprs, rhs_exprs, nodes=False):
-    """f(P, hist, tau_max, x0) -> F(u): delays left to right, each checked.
+# slot j of the float functional read from the dense state, in ivp._hermite's operations
+_DENSE_READ = """\
+theta = -_checked_delay({j}, {tau}, tau_max)
+if theta == 0.0:
+    {xs}= x0
+else:
+    time = t + theta
+    if time <= 0.0:
+        {xs}= history_floats(hist(time), {n})
+    else:
+        i = int(time / h)
+        if i < k:
+            s = (time - i * h) / h
+        else:
+            s = min((time - k * h) / h, 1.0)
+            i = k
+            used = True
+        v0, d0, v1, d1 = y[i], yp[i], y[i + 1], yp[i + 1]
+        s2 = s * s
+        s3 = s2 * s
+        a, b, c, d = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h"""
 
-    On floats each delay is clamped into [0, tau_max] and hist(theta) read as
-    n floats; with nodes=True numpy runs it on arrays of complex node values.
+
+def _compile_functional(n, delay_exprs, rhs_exprs, nodes=False):
+    """F(u) as straight-line code: delays left to right, each checked.
+
+    On floats, f(P, hist, tau_max, x0, t, h, k, y, yp) -> (F, used) at time
+    t of the IVP clamps tau_j into [0, tau_max] and reads slot j at theta =
+    -tau_j: x0 at theta == 0, hist(t + theta) as n floats up to time 0, else
+    the cubic Hermite over nodes y[i] and slopes yp[i] at times i*h. Nodes
+    i <= k are completed; y[k + 1] is the tentative next node, read with s
+    capped at 1, and reading it sets used. With nodes=True,
+    f(P, hist, tau_max, x0) runs numpy on arrays of complex node values.
     """
     def slot(j):
         return "".join(f"x{i}_{j}, " for i in range(1, n + 1))
 
-    if nodes:
-        funcs, read = _NUMPY_FUNCS, "hist(-_complex_delay({j}, {tau}, tau_max))"
-    else:
-        funcs = _MATH_FUNCS
-        read = "history_floats(hist(-_checked_delay({j}, {tau}, tau_max)), {n})"
-    body = [f"{slot(1)}= x0"] + [
-        f"{slot(j)}= " + read.format(j=j, tau=_emit(e, funcs), n=n)
-        for j, e in enumerate(delay_exprs[1:], start=2)
-    ]
+    funcs = _NUMPY_FUNCS if nodes else _MATH_FUNCS
     rhs = ", ".join(_emit(e, funcs) for e in rhs_exprs)
-    return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
+    body = [f"{slot(1)}= x0"]
+    if nodes:
+        body += [f"{slot(j)}= hist(-_complex_delay({j}, {_emit(e, funcs)}, tau_max))"
+                 for j, e in enumerate(delay_exprs[1:], start=2)]
+        return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
+    body.append("used = False")
+    for j, e in enumerate(delay_exprs[1:], start=2):
+        body += _DENSE_READ.format(j=j, tau=_emit(e), n=n, xs=slot(j)).splitlines()
+        body += [f"        x{i}_{j} = a * v0[{i - 1}] + b * d0[{i - 1}] + c * v1[{i - 1}]"
+                 f" + d * d1[{i - 1}]" for i in range(1, n + 1)]
+    return _compile("P, hist, tau_max, x0, t, h, k, y, yp", body + [f"return [{rhs}], used"])
 
 
 def _checked_delay(j, tau, tau_max):
@@ -444,17 +474,16 @@ class Model:
         [0, tau_max]; tau_max=None resolves via :meth:`resolve_tau_max`
         at u(0). Each u^j must have n components (else ModelError).
         """
-        P = np.asarray(params, dtype=float).tolist()
-        if type(P) is not list or len(P) != self.n_p:  # the IVP's hot path: check cheaply
-            _floats(params, (self.n_p,), "parameter vector")
+        P = _floats(params, (self.n_p,), "parameter vector")
         hist = as_history(u, self.n)
         x0 = history_floats(hist(0.0), self.n)
         if tau_max is None:
             tau_max = self.resolve_tau_max(P, x0)
-        try:
-            return np.array(self._functional(P, hist, tau_max, x0), dtype=float)
+        try:  # at t = 0 with no completed steps every theta != 0 reads hist
+            values, _ = self._functional(P, hist, tau_max, x0, 0.0, 1.0, 0, (), ())
         except _MATH_ERRORS as err:
             raise NumericalError(f"numerical failure: {err}") from err
+        return np.array(values, dtype=float)
 
     def eval_on_nodes(self, params, xstar, v, deltas, tau_max):
         """F(x* + delta v), continued to complex delta, at all nodes at once: shape (n, N).

@@ -126,6 +126,30 @@ class TestSubcommands:
         assert code == 1
         assert "numerical failure" in err
 
+    def test_simulate_delay_out_of_range(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            ["simulate", "--model", SCALAR, "--par", "p=-1.6", "--history", "0.5",
+             "--t-end", "1", "--step", "0.1"],
+        )
+        assert code == 1 and out == ""
+        assert err == "sddde: delay out of range: slot 2 evaluated to -0.5, allowed [0, 10]\n"
+
+    @pytest.mark.parametrize(
+        "t_end, step, message",
+        [("1", "nan", "step must be positive and finite"),
+         ("nan", "0.1", "t_end must be finite"),
+         ("inf", "0.1", "t_end must be finite")],
+    )
+    def test_simulate_non_finite_inputs(self, capsys, t_end, step, message):
+        code, out, err = invoke(
+            capsys,
+            ["simulate", "--model", SCALAR, "--par", "p=-1.6", "--history", "-1.6",
+             f"--t-end={t_end}", f"--step={step}"],
+        )
+        assert code == 1 and out == ""
+        assert err == f"sddde: {message}\n"
+
     def test_simulate_csv(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -7,7 +7,9 @@ import scipy.special
 
 from sddde import (
     ConvergenceError,
+    DelayRangeError,
     ExpPoly,
+    NumericalError,
     SdddeError,
     characteristic_roots,
     combine,
@@ -21,6 +23,7 @@ PI_2 = np.pi / 2
 LINEAR_SRC = 'name="lin"\ndim=1\nparameters=[]\ntau_max=2\ndelays=["0","1"]\nrhs=["0 - x1@2"]\n'
 SHORT_DELAY_SRC = 'name="sd"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0","0.005"]\nrhs=["0 - x1@2"]\n'
 SWEEP_SRC = 'name="sw"\ndim=1\nparameters=["a"]\ntau_max=1\ndelays=["0","0.05"]\nrhs=["0 - a*x1@2"]\n'
+LOG_SRC = 'name="lg"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0","1"]\nrhs=["log(x1@2)"]\n'
 
 # sha256 of simulate's y and yp as little-endian float64 bytes. Models,
 # histories and the solver use only + - * / here (no libm call), so the
@@ -153,3 +156,51 @@ class TestSimulate:
         m = parse_model(SWEEP_SRC)
         with pytest.raises(ConvergenceError, match="did not settle at t=0.1$"):
             simulate(m, [1.0], np.array([1.0]), t_end=1.0, step=0.1)
+
+    def test_evaluation_count(self, linear_model, char_history):
+        # one functional evaluation for the first slope, four per sweep
+        _, hist = char_history
+        traj = simulate(linear_model, [], hist, t_end=1.0, step=0.05)
+        assert traj.evals == 4 * 20 + 1
+        m = parse_model(SHORT_DELAY_SRC)
+        traj = simulate(m, [], np.array([1.0]), t_end=1.0, step=0.01)
+        assert traj.evals > 4 * 100 + 1
+
+    def test_delay_out_of_range_is_typed(self, scalar_model):
+        # the nested delay -x(t) is -0.5 from the constant history 0.5
+        with pytest.raises(DelayRangeError) as err:
+            simulate(scalar_model, [-1.6], np.array([0.5]), t_end=1.0, step=0.1)
+        assert err.value.slot == 2
+        assert err.value.value == -0.5
+        assert str(err.value) == "delay out of range: slot 2 evaluated to -0.5, allowed [0, 10]"
+
+    def test_math_errors_are_typed(self):
+        m = parse_model(LOG_SRC)
+        message = "^numerical failure: math domain error$"
+        with pytest.raises(NumericalError, match=message):  # x(-1) = -0.5 at the first slope
+            simulate(m, [], lambda th: np.array([0.5 + th]), t_end=1.0, step=0.01)
+        # from the constant history 0.5, x falls through 0 near t = 0.72,
+        # so log(x(t - 1)) fails near t = 1.72, mid-run
+        simulate(m, [], np.array([0.5]), t_end=1.5, step=0.01)
+        with pytest.raises(NumericalError, match=message):
+            simulate(m, [], np.array([0.5]), t_end=5.0, step=0.01)
+
+    @pytest.mark.parametrize(
+        "t_end, step, message",
+        [
+            (1.0, math.nan, "step must be positive and finite"),
+            (1.0, math.inf, "step must be positive and finite"),
+            (1.0, 0.0, "step must be positive and finite"),
+            (math.nan, 0.1, "t_end must be finite"),
+            (math.inf, 0.1, "t_end must be finite"),
+        ],
+    )
+    def test_non_finite_inputs_are_typed(self, linear_model, t_end, step, message):
+        with pytest.raises(SdddeError, match=f"^{message}$"):
+            simulate(linear_model, [], np.array([1.0]), t_end=t_end, step=step)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_dense_output_refuses_non_finite_times(self, linear_model, time):
+        traj = simulate(linear_model, [], np.array([1.0]), t_end=1.0, step=0.1)
+        with pytest.raises(SdddeError, match="^time must be finite$"):
+            traj(time)

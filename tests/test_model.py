@@ -18,6 +18,7 @@ from sddde import (
     solve_equilibrium,
     to_text,
 )
+from sddde.ivp import _hermite, _interpolate
 from sddde.model import FUNCTIONS, Bin, Call, Model, Neg, Num, Param, Pow, State
 
 PI_2 = math.pi / 2
@@ -359,13 +360,33 @@ def _interpret(node, P, X):
     return getattr(math, node.func)(_interpret(node.arg, P, X))
 
 
-def _interpret_functional(model, P, hist):
+def _interpret_functional(model, P, u):
     X = {}
     for j, delay in enumerate(model.delay_exprs, start=1):
         theta = 0.0 if j == 1 else -_interpret(delay, P, X)
-        for i, value in enumerate(hist(theta), start=1):
+        for i, value in enumerate(u(theta), start=1):
             X[i, j] = value
     return [_interpret(e, P, X) for e in model.rhs_exprs]
+
+
+def _dense_history(hist, x0, t, h, k, y, yp, used):
+    """u_t(theta) of the IVP's dense state, read through ivp._interpolate and _hermite.
+
+    Nodes y[i], slopes yp[i] sit at times i*h, completed for i <= k, and
+    y[k + 1] is the tentative node; reading it appends to used.
+    """
+    def u(theta):
+        if theta == 0.0:
+            return x0
+        time = t + theta
+        if time <= 0.0:
+            return hist(time)
+        if int(time / h) < k:
+            return _interpolate(y, yp, h, time)
+        used.append(True)
+        return _hermite(y[k], yp[k], y[k + 1], yp[k + 1], min((time - k * h) / h, 1.0), h)
+
+    return u
 
 
 def _outcome(evaluate, raw=False):
@@ -422,10 +443,51 @@ class TestCompiledFunctional:
             return [c[0] + c[1] * theta * theta, c[2] - c[3] * theta]
 
         ours = _outcome(lambda: model.eval_functional(P, hist))
-        theirs = _outcome(lambda: _interpret_functional(model, P, hist), raw=True)
-        assert ours == theirs
         x0 = hist(0.0)
+        u = _dense_history(hist, x0, 0.0, 1.0, 0, [], [], [])  # as eval_functional reads
+        theirs = _outcome(lambda: _interpret_functional(model, P, u), raw=True)
+        assert ours == theirs
         frozen = {(i, j): x0[i - 1] for i in (1, 2) for j in (1, 2, 3)}
         ours = _outcome(lambda: model.equilibrium_residual(P, x0))
         theirs = _outcome(lambda: [_interpret(e, P, frozen) for e in (r1, r2)], raw=True)
         assert ours == theirs
+
+    @given(
+        d2=tree_st(1),
+        d3=tree_st(2),
+        r1=tree_st(3),
+        r2=tree_st(3),
+        P=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        c=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        k=st.integers(0, 4),
+        h=st.sampled_from([0.1, 0.3, 1.0]),
+        frac=st.floats(0.0, 2.0),
+        nodes=st.lists(st.floats(-2.0, 2.0), min_size=24, max_size=24),
+    )
+    @settings(max_examples=200)
+    def test_dense_mode_matches_tree_walking_interpreter(
+        self, d2, d3, r1, r2, P, c, k, h, frac, nodes
+    ):
+        # a stage at time t in step k of simulate: delays in (0, 1) read the
+        # initial history before 0, completed nodes, or the tentative node
+        # (for t beyond (k + 1) h, its Hermite parameter is capped at 1)
+        delays = [Num(0.0), _in_unit_range(d2), _in_unit_range(d3)]
+        model = Model("oracle", 2, ("p", "beta"), delays, [r1, r2], tau_max=1.0)
+
+        def hist(theta):
+            return [c[0] + c[1] * theta * theta, c[2] - c[3] * theta]
+
+        y = [nodes[2 * i:2 * i + 2] for i in range(k + 2)]
+        yp = [nodes[12 + 2 * i:12 + 2 * i + 2] for i in range(k + 2)]
+        t, x0 = (k + frac) * h, c[4:]
+
+        def kernel():
+            values, used = model._functional(P, hist, 1.0, x0, t, h, k, y, yp)
+            return values + [float(used)]
+
+        def interpreter():
+            used = []
+            values = _interpret_functional(model, P, _dense_history(hist, x0, t, h, k, y, yp, used))
+            return values + [float(bool(used))]
+
+        assert _outcome(kernel, raw=True) == _outcome(interpreter, raw=True)

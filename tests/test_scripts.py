@@ -1,0 +1,28 @@
+"""The example scripts under scripts/ run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_scalar_hopf_demo_reports_subcritical():
+    proc = run_script("scalar_hopf_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "subcritical" in proc.stdout
+
+
+def test_hopf_curve_l1_scan_finds_the_l1_zero():
+    proc = run_script("hopf_curve_l1_scan.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("tau0,s0,omega,L1,event\n")
+    assert ",L1_ZERO\n" in proc.stdout
