@@ -4,14 +4,15 @@ Branches and Hopf curves share one pseudo-arclength stepper, _arclength
 (secant predictor, corrector, step halving and growth). On branches the
 test functions _test_hopf (real part of the rightmost complex pair) and
 _test_fold (determinant of the frozen-delay Jacobian) are evaluated at
-every accepted point and their sign changes are bracketed by bisection.
+every accepted point.
 
 Hopf curves are continued in two parameters through the extended real
 system {equilibrium residual; Re/Im of Delta(i w) q0; Re/Im of (c.q0 - 1)}
 with the normalization row c frozen per curve. L1 can be monitored along
-the curve; its sign changes are located by secant iteration on the curve
-parameter. Every Newton step takes the exact Jacobian of its system, built
-from the model's symbolic slot derivatives.
+the curve. A sign change of any test function (HOPF, FOLD, L1_ZERO)
+between two accepted points is located by one Illinois secant along the
+curve, _locate_zero. Every Newton step takes the exact Jacobian of its
+system, built from the model's symbolic slot derivatives.
 """
 
 import warnings
@@ -163,6 +164,41 @@ def _leg_signs(direction):
     return signs[direction]
 
 
+def _locate_zero(system, value, ya, yb, va, vb, span, tol):
+    """Zero of a test function between two points ya, yb of a solution curve.
+
+    value(y) returns (test value, payload); va and vb are the values at ya
+    and yb, of opposite signs. Illinois secant in t along the chord ya +
+    t (yb - ya), taking the bracket midpoint while an end value is not
+    finite; each iterate is corrected onto the curve perpendicular to the
+    chord. Stops when span (distance per unit t) times the bracket width or
+    the last move in t is within tol, where the test value may be down to
+    roundoff. Returns (y, payload) of the last evaluation.
+    """
+    seg = yb - ya
+    tangent = seg / np.linalg.norm(seg)
+    ta, tb = 0.0, 1.0
+    t, kept = None, 0
+    for _ in range(60):
+        t_prev = t
+        if np.isfinite(va) and np.isfinite(vb):
+            t = min(max(tb - vb * (tb - ta) / (vb - va), 0.0), 1.0)
+        else:
+            t = 0.5 * (ta + tb)
+        if t == t_prev:
+            break  # the same corrected point again
+        y_t, _, _ = _correct(system, tangent, ya + t * seg, _CORRECTOR_TOL, 12)
+        v_t, payload = value(y_t)
+        if np.sign(v_t) == np.sign(va):  # Illinois: halve the value of an end kept twice
+            ta, va, vb, kept = t, v_t, (vb / 2 if kept == 1 else vb), 1
+        else:
+            tb, vb, va, kept = t, v_t, (va / 2 if kept == -1 else va), -1
+        moved = tb - ta if t_prev is None else min(tb - ta, abs(t - t_prev))
+        if span * moved <= tol:
+            break
+    return y_t, payload
+
+
 # ---------------------------------------------------------------------------
 # one-parameter equilibrium branches
 
@@ -202,7 +238,7 @@ def _test_fold(lin):
     return float(np.linalg.det(sum(lin.A)))
 
 
-def _make_point(lin, pvalue, roots_cfg, step, event=None):
+def _make_point(lin, pvalue, roots_cfg, step):
     """Branch point at the equilibrium lin.xstar, with roots and test functions."""
     lams = _roots(lin, roots_cfg)
     return BranchPoint(
@@ -213,29 +249,7 @@ def _make_point(lin, pvalue, roots_cfg, step, event=None):
         test_fold=_test_fold(lin),
         stable=max((lam.real for lam in lams), default=float("-inf")) < 0.0,
         step=float(step),
-        event=event,
     )
-
-
-def _refine_sign_change(model, pvec_template, fidx, value_fn, p_lo, p_hi, x_lo, x_hi, tol=1e-8):
-    """Bisection on the free parameter for a bracketed test-function zero."""
-    f_lo = value_fn(p_lo, x_lo)
-    for _ in range(200):
-        if abs(p_hi - p_lo) <= tol:
-            break
-        p_mid = 0.5 * (p_lo + p_hi)
-        x_guess = x_lo + (x_hi - x_lo) * ((p_mid - p_lo) / (p_hi - p_lo) if p_hi != p_lo else 0.5)
-        x_mid = solve_equilibrium(model, _with_param(pvec_template, fidx, p_mid), x_guess)
-        f_mid = value_fn(p_mid, x_mid)
-        if np.sign(f_mid) == np.sign(f_lo):
-            p_lo, x_lo, f_lo = p_mid, x_mid, f_mid
-        else:
-            p_hi, x_hi = p_mid, x_mid
-    p_star = 0.5 * (p_lo + p_hi)
-    x_star = solve_equilibrium(
-        model, _with_param(pvec_template, fidx, p_star), 0.5 * (x_lo + x_hi)
-    )
-    return p_star, x_star
 
 
 def continue_branch(
@@ -292,16 +306,20 @@ def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
     """One direction: a natural first step, then arclength steps to the range end."""
     lo, hi = bounds
     n = model.n
+    system = _branch_system(model, pvec_base, fidx)
     out = []
 
     def solve_at(pval, x_seed):
         return solve_equilibrium(model, _with_param(pvec_base, fidx, pval), x_seed)
 
+    def point_at(y, h):
+        lin = linearize(model, _with_param(pvec_base, fidx, y[n]), y[:n])
+        return lin, _make_point(lin, y[n], roots, h)
+
     def accept(pval, x, h):
         prev = out[-1] if out else start
-        lin = linearize(model, _with_param(pvec_base, fidx, pval), x)
-        out.append(_make_point(lin, pval, roots, h))
-        _detect_events(model, pvec_base, fidx, prev, out[-1], out, roots)
+        out.append(point_at(np.append(x, pval), h)[1])
+        _detect_events(system, point_at, prev, out[-1], out)
 
     p1 = start.param + sgn * step.initial
     if not (lo <= p1 <= hi):
@@ -310,8 +328,7 @@ def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
     accept(p1, x1, sgn * step.initial)
     y1 = np.concatenate([x1, [p1]])
     steps = _arclength(
-        _branch_system(model, pvec_base, fidx), y1,
-        y1 - np.concatenate([start.x, [start.param]]), step,
+        system, y1, y1 - np.concatenate([start.x, [start.param]]), step,
         "continuation step underflow (corrector keeps failing)",
     )
     while len(out) < step.max_points:
@@ -329,46 +346,43 @@ def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
     return out
 
 
-def _detect_events(model, pvec_base, fidx, pt_a, pt_b, out, roots):
-    """Bisect bracketed test-function sign changes between two branch points."""
-    if abs(pt_b.param - pt_a.param) < 1e-12:
-        return
+def _detect_events(system, point_at, pt_a, pt_b, out):
+    """Locate the test-function zeros between two branch points on the branch.
 
-    def hopf_val(p, x):
-        return _test_hopf(_roots(linearize(model, _with_param(pvec_base, fidx, p), x), roots))
+    Each bracketed sign change of test_hopf or test_fold is located by
+    _locate_zero on the branch system, to 1e-8 along the chord in (x, p):
+    the parameter alone stops moving at a fold. The event point is the
+    locator's last evaluation. Events are inserted before pt_b, in their
+    order along the chord.
+    """
+    ya, yb = (np.append(pt.x, pt.param) for pt in (pt_a, pt_b))
+    seg = yb - ya
+    located = []
+    for event, test in (("HOPF", "test_hopf"), ("FOLD", "test_fold")):
+        va, vb = getattr(pt_a, test), getattr(pt_b, test)
+        if not (np.isfinite(va) and np.isfinite(vb) and np.sign(va) * np.sign(vb) < 0):
+            continue
 
-    def fold_val(p, x):
-        return _test_fold(linearize(model, _with_param(pvec_base, fidx, p), x))
+        def value(y, test=test):
+            lin, point = point_at(y, pt_b.step)
+            return getattr(point, test), (lin, point)
 
-    events = []
-    if (
-        np.isfinite(pt_a.test_hopf)
-        and np.isfinite(pt_b.test_hopf)
-        and np.sign(pt_a.test_hopf) * np.sign(pt_b.test_hopf) < 0
-    ):
-        p_star, x_star = _refine_sign_change(
-            model, pvec_base, fidx, hopf_val, pt_a.param, pt_b.param, pt_a.x, pt_b.x
-        )
-        lin = linearize(model, _with_param(pvec_base, fidx, p_star), x_star)
-        point = _make_point(lin, p_star, roots, pt_b.step, "HOPF")
-        pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
-        if pair:
+        y, (lin, point) = _locate_zero(system, value, ya, yb, va, vb, np.linalg.norm(seg), 1e-8)
+        point = replace(point, event=event)
+        if event == "HOPF":
+            pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
+            if not pair:
+                continue
             cand = min(pair, key=lambda z: abs(z.real))
             try:
-                eig = hopf_eigendata(lin, cand.imag)
-                events.append(replace(point, omega=eig.omega))
+                point = replace(point, omega=hopf_eigendata(lin, cand.imag).omega)
             except (DegenerateEigenvalueError, ConvergenceError) as err:
-                warnings.warn(f"Hopf candidate at {p_star:.8g} failed validation: {err}")
-    if np.sign(pt_a.test_fold) * np.sign(pt_b.test_fold) < 0:
-        p_star, x_star = _refine_sign_change(
-            model, pvec_base, fidx, fold_val, pt_a.param, pt_b.param, pt_a.x, pt_b.x
-        )
-        lin = linearize(model, _with_param(pvec_base, fidx, p_star), x_star)
-        events.append(_make_point(lin, p_star, roots, pt_b.step, "FOLD"))
-    if events:
+                warnings.warn(f"Hopf candidate at {point.param:.8g} failed validation: {err}")
+                continue
+        located.append(((y - ya) @ seg, point))
+    if located:
         last = out.pop()
-        events.sort(key=lambda pt: (pt.param - pt_a.param) / (pt_b.param - pt_a.param))
-        out.extend(events)
+        out.extend(point for _, point in sorted(located, key=lambda e: e[0]))
         out.append(last)
 
 
@@ -558,6 +572,7 @@ def _simplicity_lost(model, pvec_base, f1, f2, y, n):
 
 
 def _locate_l1_zeros(system, make_point, curve_l1, ys, pts, n):
+    """Insert an L1_ZERO event at each L1 sign change, located to 1e-6 in (p1, p2)."""
     out = list(pts)
     inserted = 0
     for k in range(len(pts) - 1):
@@ -566,29 +581,11 @@ def _locate_l1_zeros(system, make_point, curve_l1, ys, pts, n):
             continue
         if np.sign(a.L1) * np.sign(b.L1) >= 0:
             continue
-        ya, yb = ys[k], ys[k + 1]
-        seg = yb - ya
-        tangent = seg / np.linalg.norm(seg)
+        seg = ys[k + 1] - ys[k]
         span = np.hypot(seg[3 * n + 1], seg[3 * n + 2])  # (p1, p2) distance per unit t
-        ta, tb, la, lb = 0.0, 1.0, a.L1, b.L1
-        y_t, t, kept = None, None, 0
-        for _ in range(60):
-            t_prev, t = t, tb - lb * (tb - ta) / (lb - la)  # secant
-            t = min(max(t, 0.0), 1.0)
-            y_pred = ya + t * seg
-
-            y_t, _, _ = _correct(system, tangent, y_pred, 1e-10, 12)
-            l_t = curve_l1(y_t)
-            if np.sign(l_t) == np.sign(la):  # Illinois: halve the L1 of an end kept twice
-                ta, la, lb, kept = t, l_t, (lb / 2 if kept == 1 else lb), 1
-            else:
-                tb, lb, la, kept = t, l_t, (la / 2 if kept == -1 else la), -1
-            # stop on a narrow bracket, or on a step that barely moved (p1, p2): there
-            # L1 is down to roundoff and its sign no longer says which side is which
-            moved = tb - ta if t_prev is None else min(tb - ta, abs(t - t_prev))
-            if span * moved <= 1e-6:
-                break
-        if y_t is not None:
-            out.insert(k + 1 + inserted, make_point(y_t, event="L1_ZERO", L1=l_t))
-            inserted += 1
+        y_t, l_t = _locate_zero(
+            system, lambda y: (curve_l1(y),) * 2, ys[k], ys[k + 1], a.L1, b.L1, span, 1e-6
+        )
+        out.insert(k + 1 + inserted, make_point(y_t, event="L1_ZERO", L1=l_t))
+        inserted += 1
     return out

@@ -384,8 +384,8 @@ def _compile_functional(n, delay_exprs, rhs_exprs, nodes=False):
 
 
 def _checked_delay(j, tau, tau_max):
-    """Delay of slot j clamped to [0, tau_max]; DelayRangeError beyond roundoff."""
-    if tau < -1e-12 or tau > tau_max + 1e-12:
+    """Delay of slot j clamped to [0, tau_max]; DelayRangeError beyond roundoff or NaN."""
+    if not -1e-12 <= tau <= tau_max + 1e-12:
         raise DelayRangeError(j, tau, tau_max)
     return min(max(tau, 0.0), tau_max)
 
@@ -565,7 +565,7 @@ class Model:
         if self.declared_tau_max is not None:
             return self.declared_tau_max
         for j, tau in enumerate(taus, start=2):
-            if tau < -1e-12:
+            if not tau >= -1e-12:  # NaN too
                 raise DelayRangeError(j, tau, float("inf"))
         top = max(taus, default=0.0)
         return _TAU_MAX_MARGIN * top if top > 0 else 1.0

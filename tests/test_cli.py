@@ -198,16 +198,14 @@ class TestSubcommands:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, capsys):
-        argv = [
-            "hopf-nf",
-            "--model",
-            SCALAR,
-            "--par",
-            "p=-1.5707963",
-            "--omega-guess",
-            "1",
-        ]
+    @pytest.mark.parametrize(
+        "argv",
+        [["hopf-nf", "--model", SCALAR, "--par", "p=-1.5707963", "--omega-guess", "1"],
+         # the README branch run, which has a HOPF event
+         ["branch", "--model", SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"]],
+        ids=["hopf-nf", "branch"],
+    )
+    def test_byte_identical_reruns(self, capsys, argv):
         _, out1, _ = invoke(capsys, argv)
         _, out2, _ = invoke(capsys, argv)
         assert out1 == out2

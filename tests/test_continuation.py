@@ -22,6 +22,8 @@ STABLE_LINEAR_SRC = (
     'delays=["0", "1"]\nrhs=["p - 0.5*x1@2"]\n'
 )
 
+FOLD_SRC = 'name="fold"\ndim=1\nparameters=["p"]\ndelays=["0", "1"]\nrhs=["p - x1@2^2"]\n'
+
 CUBIC_FREE_TAU_SRC = (
     'name="cubic"\ndim=1\nparameters=["p", "tau"]\ntau_max=6\n'
     'delays=["0", "tau"]\nrhs=["p - x1@2^3"]\n'
@@ -70,6 +72,8 @@ class TestBranch:
         assert len(events) == 1
         assert events[0].param == pytest.approx(-PI_2, abs=1e-6)
         assert events[0].omega == pytest.approx(1.0, abs=1e-6)
+        # the secant on the test function converges well past its stopping bracket
+        assert abs(events[0].param + PI_2) <= 1e-10
 
     def test_branch_points_are_equilibria(self, scalar_model):
         pts = continue_branch(
@@ -128,6 +132,21 @@ class TestBranch:
         assert all(pt.stable for pt in pts)
         values = [pt.param for pt in pts]
         assert values == sorted(values)
+
+    def test_fold_located_on_the_curve(self, monkeypatch):
+        # p = x^2 turns back at p = 0, which no step in p alone can cross
+        lin_calls = _counting(monkeypatch, "linearize")
+        pts = continue_branch(
+            parse_model(FOLD_SRC),
+            {"p": 1.0},
+            "p",
+            (-1.0, 2.0),
+            np.array([1.0]),
+            step=StepSettings(initial=0.1),
+        )
+        (fold,) = [pt for pt in pts if pt.event == "FOLD"]
+        assert abs(fold.param) <= 1e-8 and abs(fold.x[0]) <= 1e-4
+        assert sum(1 for (_, params, _) in lin_calls if params[0] == fold.param) == 1
 
     def test_reversal_retraces_branch(self, scalar_model):
         fwd = continue_branch(
@@ -423,6 +442,24 @@ class TestArclengthStepper:
         assert event.omega == pytest.approx(1.0, abs=1e-6)
         assert sum(1 for (lin, *_) in calls if lin.params[0] == event.param) == 1
         assert sum(1 for (_, params, _) in lin_calls if params[0] == event.param) == 1
+
+    def test_locator_bisects_while_an_end_value_is_not_finite(self):
+        # on the parabola y1 = y0^2 the test value y0 - 0.3 is -inf for y0 <= 0.2,
+        # as _test_hopf is where no complex pair exists
+        system = (lambda y: np.array([y[1] - y[0] ** 2]), lambda y: np.array([[-2 * y[0], 1.0]]))
+        evaluated = []
+
+        def value(y):
+            evaluated.append(y[0])
+            return (y[0] - 0.3 if y[0] > 0.2 else -np.inf), None
+
+        y, _ = sddde.continuation._locate_zero(
+            system, value, np.zeros(2), np.ones(2), -np.inf, 0.7, np.sqrt(2), 1e-8
+        )
+        assert abs(y[0] - 0.3) <= 1e-8 and abs(y[1] - y[0] ** 2) <= 1e-10
+        # the first iterate is the chord midpoint, corrected onto y0 + y1 = 1
+        assert evaluated[0] == pytest.approx((np.sqrt(5) - 1) / 2)
+        assert len(evaluated) <= 12
 
     @pytest.mark.parametrize("direction", ["up", "Forward", ""])
     def test_unknown_direction_raises(self, scalar_model, poscontrol_model, poscontrol_ref,

@@ -24,6 +24,7 @@ LINEAR_SRC = 'name="lin"\ndim=1\nparameters=[]\ntau_max=2\ndelays=["0","1"]\nrhs
 SHORT_DELAY_SRC = 'name="sd"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0","0.005"]\nrhs=["0 - x1@2"]\n'
 SWEEP_SRC = 'name="sw"\ndim=1\nparameters=["a"]\ntau_max=1\ndelays=["0","0.05"]\nrhs=["0 - a*x1@2"]\n'
 LOG_SRC = 'name="lg"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0","1"]\nrhs=["log(x1@2)"]\n'
+NAN_DELAY_SRC = 'name="nd"\ndim=1\nparameters=["p"]\n{tau_max}delays=["0", "0.5 + 0*x1@1"]\nrhs=["p - x1@2"]\n'
 
 # sha256 of simulate's y and yp as little-endian float64 bytes. Models,
 # histories and the solver use only + - * / here (no libm call), so the
@@ -173,6 +174,15 @@ class TestSimulate:
         assert err.value.slot == 2
         assert err.value.value == -0.5
         assert str(err.value) == "delay out of range: slot 2 evaluated to -0.5, allowed [0, 10]"
+
+    @pytest.mark.parametrize("tau_max", ["", "tau_max=2\n"], ids=["auto", "declared"])
+    def test_nan_delay_is_out_of_range(self, tau_max):
+        # x(0) = inf makes the delay 0.5 + 0*x(t) NaN at the first slope
+        m = parse_model(NAN_DELAY_SRC.format(tau_max=tau_max))
+        with pytest.raises(DelayRangeError) as err:
+            simulate(m, [1.0], lambda th: np.array([math.inf if th == 0 else 0.0]),
+                     t_end=1.0, step=0.1)
+        assert err.value.slot == 2 and math.isnan(err.value.value)
 
     def test_math_errors_are_typed(self):
         m = parse_model(LOG_SRC)

@@ -31,6 +31,7 @@ tau_max = 10
 delays = ["0", "-x1@1"]
 rhs = ["p - x1@2"]
 """
+NAN_DELAY_SRC = 'name="nd"\ndim=1\nparameters=["p"]\n{tau_max}delays=["0", "0.5 + 0*x1@1"]\nrhs=["p - x1@2"]\n'
 
 
 class TestParseModel:
@@ -279,6 +280,14 @@ class TestEquilibriumHelpers:
         m = parse_model(src)
         assert m.declared_tau_max is None
         assert m.resolve_tau_max([-pi_half], [-pi_half]) == pytest.approx(1.25 * pi_half)
+
+    @pytest.mark.parametrize("tau_max", ["", "tau_max=2\n"], ids=["auto", "declared"])
+    def test_nan_frozen_delay_is_out_of_range(self, tau_max):
+        # 0 * inf makes the frozen delay NaN, which is in no range
+        m = parse_model(NAN_DELAY_SRC.format(tau_max=tau_max))
+        with pytest.raises(DelayRangeError) as err:
+            m.frozen_delays([1.0], np.array([math.inf]))
+        assert err.value.slot == 2 and math.isnan(err.value.value)
 
     def test_params_from_validation(self, poscontrol_model):
         with pytest.raises(ModelError, match="not assigned"):
