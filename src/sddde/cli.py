@@ -247,13 +247,15 @@ def _dispatch(args, writer):
     model = load_model(args.model)
     assignments = _parse_assignments(args.par)
     params = model.params_from(assignments)
-    try:
+    try:  # bad flag values are usage errors
         deriv = DerivSettings(radius=args.deriv_radius, levels=args.deriv_levels)
+        roots_cfg = RootSettings(
+            count=args.root_count, re_cutoff=args.re_cutoff, cheb_nodes=args.cheb_nodes
+        )
+        if args.command in ("branch", "hopf-curve"):
+            step = StepSettings(initial=args.step_init, max_points=args.max_points)
     except SdddeError as err:
-        raise ModelError(str(err)) from None  # bad flag values are usage errors
-    roots_cfg = RootSettings(
-        count=args.root_count, re_cutoff=args.re_cutoff, cheb_nodes=args.cheb_nodes
-    )
+        raise ModelError(str(err)) from None
 
     def equilibrium():
         return solve_equilibrium(model, params, _parse_vector(args.guess, model.n, "--guess"))
@@ -315,7 +317,7 @@ def _dispatch(args, writer):
             args.free,
             prange,
             _parse_vector(args.guess, model.n, "--guess"),
-            step=StepSettings(initial=args.step_init, max_points=args.max_points),
+            step=step,
             roots=roots_cfg,
         )
         for pt in pts:
@@ -345,7 +347,7 @@ def _dispatch(args, writer):
             names,
             _parse_vector(args.guess, model.n, "--guess"),
             args.omega_guess,
-            step=StepSettings(initial=args.step_init, max_points=args.max_points),
+            step=step,
             monitor_l1=args.monitor_l1,
             deriv_settings=deriv,
         )

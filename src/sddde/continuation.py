@@ -15,6 +15,7 @@ curve, _locate_zero. Every Newton step takes the exact Jacobian of its
 system, built from the model's symbolic slot derivatives.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateEigenvalueError,
     DelayRangeError,
     ModelError,
+    SdddeError,
 )
 from .normalform import hopf_l1
 from .spectral import (
@@ -53,12 +55,27 @@ class StepSettings:
     max_step: float = 0.5
     max_points: int = 400
 
+    def __post_init__(self):
+        for name in ("initial", "max_step"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise SdddeError(f"{name} must be positive and finite")
+        if not self.max_points >= 1:
+            raise SdddeError("max_points must be at least 1")
+
 
 @dataclass(frozen=True)
 class RootSettings:
     count: int = 6
     re_cutoff: float = 2.0
     cheb_nodes: int = 32
+
+    def __post_init__(self):
+        if not self.count >= 1:
+            raise SdddeError("count must be at least 1")
+        if not math.isfinite(self.re_cutoff):
+            raise SdddeError("re_cutoff must be finite")
+        if not self.cheb_nodes >= 1:
+            raise SdddeError("cheb_nodes must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +329,14 @@ def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
     def solve_at(pval, x_seed):
         return solve_equilibrium(model, _with_param(pvec_base, fidx, pval), x_seed)
 
-    def point_at(y, h):
-        lin = linearize(model, _with_param(pvec_base, fidx, y[n]), y[:n])
-        return lin, _make_point(lin, y[n], roots, h)
+    def lin_at(y):
+        return linearize(model, _with_param(pvec_base, fidx, y[n]), y[:n])
 
     def accept(pval, x, h):
         prev = out[-1] if out else start
-        out.append(point_at(np.append(x, pval), h)[1])
-        _detect_events(system, point_at, prev, out[-1], out)
+        y = np.append(x, pval)
+        out.append(_make_point(lin_at(y), y[n], roots, h))
+        _detect_events(system, lin_at, roots, prev, out[-1], out)
 
     p1 = start.param + sgn * step.initial
     if not (lo <= p1 <= hi):
@@ -346,14 +363,15 @@ def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
     return out
 
 
-def _detect_events(system, point_at, pt_a, pt_b, out):
+def _detect_events(system, lin_at, roots, pt_a, pt_b, out):
     """Locate the test-function zeros between two branch points on the branch.
 
     Each bracketed sign change of test_hopf or test_fold is located by
     _locate_zero on the branch system, to 1e-8 along the chord in (x, p):
     the parameter alone stops moving at a fold. The event point is the
-    locator's last evaluation. Events are inserted before pt_b, in their
-    order along the chord.
+    locator's last evaluation; FOLD iterates need only det(sum A_j), so
+    their roots are computed once, at the located point. Events are
+    inserted before pt_b, in their order along the chord.
     """
     ya, yb = (np.append(pt.x, pt.param) for pt in (pt_a, pt_b))
     seg = yb - ya
@@ -363,12 +381,15 @@ def _detect_events(system, point_at, pt_a, pt_b, out):
         if not (np.isfinite(va) and np.isfinite(vb) and np.sign(va) * np.sign(vb) < 0):
             continue
 
-        def value(y, test=test):
-            lin, point = point_at(y, pt_b.step)
-            return getattr(point, test), (lin, point)
+        def value(y, event=event):
+            lin = lin_at(y)
+            if event == "FOLD":
+                return _test_fold(lin), (lin, None)
+            point = _make_point(lin, y[-1], roots, pt_b.step)
+            return point.test_hopf, (lin, point)
 
         y, (lin, point) = _locate_zero(system, value, ya, yb, va, vb, np.linalg.norm(seg), 1e-8)
-        point = replace(point, event=event)
+        point = replace(point or _make_point(lin, y[-1], roots, pt_b.step), event=event)
         if event == "HOPF":
             pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
             if not pair:

@@ -120,9 +120,7 @@ def directional_derivative(
     return row if all_levels else row[-1]
 
 
-def multilinear_form(
-    model, params, xstar, directions, settings=None, tau_max=None, *, all_levels=False
-):
+def multilinear_form(model, params, xstar, directions, settings=None, *, all_levels=False):
     """Symmetric j-linear form F_j(v_1, ..., v_j) for complex ExpPoly directions.
 
     Polarization over the directions as they are,
@@ -134,8 +132,7 @@ def multilinear_form(
     j = len(directions)
     if not (1 <= j <= 3):
         raise SdddeError("multilinear_form supports orders 1..3")
-    if tau_max is None:
-        tau_max = model.resolve_tau_max(params, xstar)
+    tau_max = model.resolve_tau_max(params, xstar)
     out = np.zeros((settings.levels, model.n), dtype=complex)
     for eps in itertools.product((1, -1), repeat=j - 1):
         summed = directions[0]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, SdddeError
-from .model import _MATH_ERRORS, _floats, as_history, history_floats
+from .errors import ConvergenceError, SdddeError
+from .model import _floats, as_history, history_floats
 
 _SWEEP_LIMIT = 5
 _SWEEP_TOL = 1e-12
@@ -74,7 +74,7 @@ def _hermite(y0, m0, y1, m1, s, h):
     return [a * v0 + b * d0 + c * v1 + d * d1 for v0, d0, v1, d1 in zip(y0, m0, y1, m1)]
 
 
-def simulate(model, params, history, t_end, step, tau_max=None):
+def simulate(model, params, history, t_end, step):
     """Integrate the sd-DDE from a history on [-tau_max, 0] to t_end.
 
     history may be an ExpPoly, a constant vector, or a callable; step is
@@ -88,8 +88,7 @@ def simulate(model, params, history, t_end, step, tau_max=None):
         raise SdddeError("t_end must be finite")
     hist = as_history(history, model.n)
     x0 = history_floats(hist(0.0), model.n)
-    if tau_max is None:
-        tau_max = model.resolve_tau_max(params, x0)
+    tau_max = model.resolve_tau_max(params, x0)
 
     nsteps = int(round(t_end / step))
     if nsteps < 1:
@@ -102,36 +101,33 @@ def simulate(model, params, history, t_end, step, tau_max=None):
     h = step
     y, yp = [x0], []   # node values and slopes; during step k, y[k + 1] is tentative
     sweeps = 0
-    try:
-        yp.append(F(P, hist, tau_max, x0, 0.0, h, 0, y, yp)[0])
-        for k in range(nsteps):
-            t0 = k * h
-            y0, k1 = y[k], yp[k]
-            y.append(y0)  # the first tentative node repeats node k
-            yp.append(k1)
-            for _ in range(_SWEEP_LIMIT):
-                sweeps += 1
-                k2, used2 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k1)],
-                              t0 + h / 2, h, k, y, yp)
-                k3, used3 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k2)],
-                              t0 + h / 2, h, k, y, yp)
-                k4, used4 = F(P, hist, tau_max, [a + h * b for a, b in zip(y0, k3)],
-                              t0 + h, h, k, y, yp)
-                y_new = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-                m_new, used5 = F(P, hist, tau_max, y_new, t0 + h, h, k, y, yp)
-                settled = not (used2 or used3 or used4 or used5) or all(  # a NaN never settles
-                    abs(a - b) <= _SWEEP_TOL for a, b in zip(y_new + m_new, y[-1] + yp[-1])
-                )
-                y[-1], yp[-1] = y_new, m_new
-                if settled:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}"
-                )
-    except _MATH_ERRORS as err:
-        raise NumericalError(f"numerical failure: {err}") from err
+    yp.append(F(P, hist, tau_max, x0, 0.0, h, 0, y, yp)[0])
+    for k in range(nsteps):
+        t0 = k * h
+        y0, k1 = y[k], yp[k]
+        y.append(y0)  # the first tentative node repeats node k
+        yp.append(k1)
+        for _ in range(_SWEEP_LIMIT):
+            sweeps += 1
+            k2, used2 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k1)],
+                          t0 + h / 2, h, k, y, yp)
+            k3, used3 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k2)],
+                          t0 + h / 2, h, k, y, yp)
+            k4, used4 = F(P, hist, tau_max, [a + h * b for a, b in zip(y0, k3)],
+                          t0 + h, h, k, y, yp)
+            y_new = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+            m_new, used5 = F(P, hist, tau_max, y_new, t0 + h, h, k, y, yp)
+            settled = not (used2 or used3 or used4 or used5) or all(  # a NaN never settles
+                abs(a - b) <= _SWEEP_TOL for a, b in zip(y_new + m_new, y[-1] + yp[-1])
+            )
+            y[-1], yp[-1] = y_new, m_new
+            if settled:
+                break
+        else:
+            raise ConvergenceError(
+                f"fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}"
+            )
 
     return Trajectory(t=np.arange(nsteps + 1) * h, y=np.array(y), yp=np.array(yp),
                       history=hist, step=step, evals=1 + 4 * sweeps)

@@ -17,8 +17,10 @@ Model file format (UTF-8, line oriented, ``key = value``)::
 """
 
 import ast
+import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,7 +291,8 @@ def _render(node, parent_prec):
 
 _MATH_FUNCS = {name: f"math.{name}" for name in FUNCTIONS}
 _NUMPY_FUNCS = {**{name: f"np.{name}" for name in FUNCTIONS}, "atan": "np.arctan"}
-_MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+_MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
+_ZERO = Num(0.0)
 
 
 def _emit(node, funcs=_MATH_FUNCS, names=None):
@@ -317,18 +320,45 @@ def _emit(node, funcs=_MATH_FUNCS, names=None):
 
 
 def _compile(args, body):
-    """Define ``f(args)`` from generated body lines (built from the validated AST only)."""
+    """Define ``f(args)`` from generated body lines (built from the validated AST only).
+
+    Math errors raised by the body become NumericalError, with the original as its cause.
+    """
     namespace = {"math": math, "np": np, "history_floats": history_floats,
-                 "_checked_delay": _checked_delay, "_complex_delay": _complex_delay}
-    exec(f"def f({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+                 "_checked_delay": _checked_delay, "_complex_delay": _complex_delay,
+                 "_MATH_ERRORS": _MATH_ERRORS, "NumericalError": NumericalError}
+    exec(f"def f({args}):\n    try:\n" + "".join(f"        {line}\n" for line in body)
+         + "    except _MATH_ERRORS as err:\n"
+         + "        raise NumericalError(f'numerical failure: {err}') from err\n", namespace)
     return namespace["f"]
 
 
-def compile_expr(node):
-    """Callable (X, P) -> value of one expression; X[i][j] holds x<i+1>@<j+1>."""
-    refs = sorted({(r.comp, r.slot) for r in _walk(node) if isinstance(r, State)})
-    body = [f"x{c}_{s} = X[{c - 1}][{s - 1}]" for c, s in refs]
-    return _compile("X, P", body + [f"return {_emit(node)}"])
+def _compile_frozen(blocks):
+    """Evaluator (X, P) -> one array per (shape, entry) block; entry(*index) is an element's AST.
+
+    X is the (n, m) slot matrix. Zero elements, a folded -0.0 included, are
+    emitted as the literal 0.0; a subexpression used more than once is
+    bound to a local.
+    """
+    exprs = [entry(*index) for shape, entry in blocks
+             for index in itertools.product(*map(range, shape))]
+    walked = [sub for e in exprs for sub in _walk(e)]
+    body = [f"x{c}_{s} = X[{c - 1}][{s - 1}]" for c, s in sorted({(r.comp, r.slot) for r in walked
+                                                                  if isinstance(r, State)})]
+    counts, names = Counter(walked), {}
+    for sub in reversed(walked):  # descendants first; a subexpression used twice becomes a local
+        if counts[sub] > 1 and isinstance(sub, (Bin, Call, Pow)) and sub not in names:
+            body.append(f"t{len(names)} = {_emit(sub, names=names)}")
+            names[sub] = f"t{len(names)}"
+    values = ", ".join("0.0" if e == _ZERO else _emit(e, names=names) for e in exprs)
+    fn = _compile("X, P", body + [f"return [{values}]"])
+    ends = list(itertools.accumulate((math.prod(shape) for shape, _ in blocks), initial=0))
+
+    def evaluate(X, P):
+        out = np.array(fn(X, P), dtype=float)
+        return [out[a:b].reshape(shape) for a, b, (shape, _) in zip(ends, ends[1:], blocks)]
+
+    return evaluate
 
 
 # slot j of the float functional read from the dense state, in ivp._hermite's operations
@@ -390,6 +420,15 @@ def _checked_delay(j, tau, tau_max):
     return min(max(tau, 0.0), tau_max)
 
 
+def _auto_tau_max(taus):
+    """A margin over the frozen delays taus of slots 2..m; DelayRangeError below 0 or NaN."""
+    for j, tau in enumerate(taus, start=2):
+        if not tau >= -1e-12:  # NaN too
+            raise DelayRangeError(j, tau, float("inf"))
+    top = max(taus, default=0.0)
+    return _TAU_MAX_MARGIN * top if top > 0 else 1.0
+
+
 def _complex_delay(j, tau, tau_max):
     """Delays of slot j as they are; DelayRangeError when a Re tau leaves [0, tau_max]."""
     re = np.real(tau)
@@ -448,8 +487,9 @@ class Model:
             raise ModelError("delay slot 1 must be the literal 0")
         if tau_max is not None and tau_max <= 0:
             raise ModelError("tau_max must be positive")
-        self._delay_fns = tuple(compile_expr(e) for e in delay_exprs)
-        self._rhs_fns = tuple(compile_expr(e) for e in rhs_exprs)
+        # f and the delays apart, so a residual never evaluates a delay
+        self._rhs = _compile_frozen([((n,), self.rhs_exprs.__getitem__)])
+        self._taus = _compile_frozen([((self.m - 1,), lambda j: self.delay_exprs[j + 1])])
         self._functional = _compile_functional(n, delay_exprs, rhs_exprs)
         self._on_nodes = _compile_functional(n, delay_exprs, rhs_exprs, nodes=True)
         self._derivs = {}  # evaluators of frozen_derivatives by order
@@ -460,10 +500,7 @@ class Model:
         """f(x^1..x^m, p) for an (n, m) slot matrix; math errors raise NumericalError."""
         X = _floats(xmat, (self.n, self.m), "slot matrix")
         P = _floats(params, (self.n_p,), "parameter vector")
-        try:
-            return np.array([fn(X, P) for fn in self._rhs_fns], dtype=float)
-        except _MATH_ERRORS as err:
-            raise NumericalError(f"numerical failure: {err}") from err
+        return self._rhs(X, P)[0]
 
     # -- functional ------------------------------------------------------
 
@@ -479,10 +516,8 @@ class Model:
         x0 = history_floats(hist(0.0), self.n)
         if tau_max is None:
             tau_max = self.resolve_tau_max(P, x0)
-        try:  # at t = 0 with no completed steps every theta != 0 reads hist
-            values, _ = self._functional(P, hist, tau_max, x0, 0.0, 1.0, 0, (), ())
-        except _MATH_ERRORS as err:
-            raise NumericalError(f"numerical failure: {err}") from err
+        # at t = 0 with no completed steps every theta != 0 reads hist
+        values, _ = self._functional(P, hist, tau_max, x0, 0.0, 1.0, 0, (), ())
         return np.array(values, dtype=float)
 
     def eval_on_nodes(self, params, xstar, v, deltas, tau_max):
@@ -499,11 +534,8 @@ class Model:
         def hist(theta):
             return [x + deltas * w for x, w in zip(X, v.eval_many(theta))]
 
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-                values = self._on_nodes(P, hist, tau_max, hist(0.0))
-        except _MATH_ERRORS + (FloatingPointError,) as err:
-            raise NumericalError(f"numerical failure: {err}") from err
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            values = self._on_nodes(P, hist, tau_max, hist(0.0))
         return np.array([np.broadcast_to(value, deltas.shape) for value in values], dtype=complex)
 
     def _frozen(self, x):  # slot matrix with every slot at the state x
@@ -520,15 +552,11 @@ class Model:
         dtau[j, z] = d tau_j / dz for the delay of slot j + 1, shape (m, n + n_p).
         """
         if order not in self._derivs:
-            from .symbolic import slot_derivatives
+            from .symbolic import slot_derivative_blocks
 
-            self._derivs[order] = slot_derivatives(self, order)
-        X = _floats(x, (self.n,), "state vector")
-        P = _floats(params, (self.n_p,), "parameter vector")
-        try:
-            return self._derivs[order](X, P)
-        except _MATH_ERRORS as err:
-            raise NumericalError(f"numerical failure: {err}") from err
+            self._derivs[order] = _compile_frozen(slot_derivative_blocks(self, order))
+        X = self._frozen(x)
+        return self._derivs[order](X, _floats(params, (self.n_p,), "parameter vector"))
 
     # -- equilibrium helpers ----------------------------------------------
 
@@ -536,39 +564,22 @@ class Model:
         """f(x, ..., x, p): zero exactly at equilibria."""
         return self.eval_rhs(self._frozen(x), params)
 
-    def frozen_delays(self, params, x, tau_max=None):
-        """All delays evaluated with every slot frozen at x."""
+    def frozen_delays(self, params, x):
+        """All delays with every slot frozen at x, checked against the resolved tau_max."""
         taus = self._frozen_taus(params, x)
-        if tau_max is None:
-            tau_max = self._tau_max_over(taus)
+        tau_max = self.declared_tau_max or _auto_tau_max(taus)
         return np.array([0.0] + [
             _checked_delay(j, tau, tau_max) for j, tau in enumerate(taus, start=2)
         ])
 
     def resolve_tau_max(self, params, x):
         """Declared tau_max, else a margin over the max frozen delay at x."""
-        if self.declared_tau_max is not None:
-            return self.declared_tau_max
-        return self._tau_max_over(self._frozen_taus(params, x))
+        return self.declared_tau_max or _auto_tau_max(self._frozen_taus(params, x))
 
     def _frozen_taus(self, params, x):
-        """Delays of slots 2..m with every slot at x; math errors raise NumericalError."""
+        """Delays of slots 2..m as Python floats, every slot at x."""
         X = self._frozen(x)
-        P = _floats(params, (self.n_p,), "parameter vector")
-        try:
-            return [fn(X, P) for fn in self._delay_fns[1:]]
-        except _MATH_ERRORS as err:
-            raise NumericalError(f"numerical failure: {err}") from err
-
-    def _tau_max_over(self, taus):
-        """Declared tau_max, else a margin over the frozen delays taus of slots 2..m."""
-        if self.declared_tau_max is not None:
-            return self.declared_tau_max
-        for j, tau in enumerate(taus, start=2):
-            if not tau >= -1e-12:  # NaN too
-                raise DelayRangeError(j, tau, float("inf"))
-        top = max(taus, default=0.0)
-        return _TAU_MAX_MARGIN * top if top > 0 else 1.0
+        return self._taus(X, _floats(params, (self.n_p,), "parameter vector"))[0].tolist()
 
     def params_from(self, assignments):
         """Build the parameter vector from a {name: value} mapping."""

@@ -83,7 +83,7 @@ def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
     return h2_20, h2_11
 
 
-def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None):
+def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None):
     """Full Hopf normal form at an equilibrium with a simple pair near i w.
 
     The cubic bracket is evaluated at the configured node level and checked
@@ -96,7 +96,7 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None
     settings = settings or DerivSettings()
     params = np.asarray(params, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
-    lin = lin or linearize(model, params, xstar)
+    lin = linearize(model, params, xstar)
     if eig is None:
         eig = hopf_eigendata(lin, omega_guess)
     else:
@@ -128,7 +128,7 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, lin=None, eig=None
     return HopfNF(eig=eig, h2_20=h2_20, h2_11=h2_11, g21=g21, L1=L1, criticality=crit)
 
 
-def fold_coefficient(model, params, xstar, settings=None, lin=None):
+def fold_coefficient(model, params, xstar, settings=None):
     """Quadratic coefficient a of the fold normal form at a simple zero root.
 
     a = p0 F2(q, q) / 2 with p0 Delta'(0) q0 = 1; the fold is
@@ -136,7 +136,7 @@ def fold_coefficient(model, params, xstar, settings=None, lin=None):
     """
     params = np.asarray(params, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
-    lin = lin or linearize(model, params, xstar)
+    lin = linearize(model, params, xstar)
     D0 = char_matrix(lin, 0.0).real
     s = np.linalg.svd(D0, compute_uv=False)
     top = max(s[0], 1.0)

@@ -1,18 +1,13 @@
-"""Exact slot derivatives of a model, every slot at one state x.
+"""Exact slot derivatives of a model, every slot at one state x, as ASTs.
 
 _diff differentiates the parser's AST; its results are ASTs again (0 and 1
-folded) that compile through model._emit like any other expression, with
-subexpressions used more than once bound to locals. The model imports this
-module on the first derivative it is asked for.
+folded), which the model compiles like any other expression. The model
+imports this module on the first derivative it is asked for.
 """
 
 import functools
-import itertools
-from collections import Counter
 
-import numpy as np
-
-from .model import Bin, Call, ModelError, Neg, Num, Param, Pow, State, _compile, _emit, _walk
+from .model import Bin, Call, ModelError, Neg, Num, Param, Pow, State
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
 
@@ -72,49 +67,17 @@ def _dz(model, node, z):
     return functools.reduce(_sum, (_diff(node, State(z + 1, l)) for l in range(1, model.m + 1)))
 
 
-def _compile_frozen(blocks):
-    """Evaluator (X, P) -> one array per (shape, entry) block; entry(*index) is an element's AST.
-
-    Only the nonzero elements are emitted.
-    """
-    flat, exprs, ends = [], [], [0]
-    for shape, entry in blocks:
-        for pos, index in enumerate(itertools.product(*map(range, shape)), start=ends[-1]):
-            node = entry(*index)
-            if node != _ZERO:
-                flat.append(pos)
-                exprs.append(node)
-        ends.append(ends[-1] + int(np.prod(shape)))
-    walked = [sub for e in exprs for sub in _walk(e)]
-    body = [f"x{c}_{s} = X[{c - 1}]" for c, s in sorted({(r.comp, r.slot) for r in walked
-                                                         if isinstance(r, State)})]
-    counts, names = Counter(walked), {}
-    for sub in reversed(walked):  # descendants first; a subexpression used twice becomes a local
-        if counts[sub] > 1 and isinstance(sub, (Bin, Call, Pow)) and sub not in names:
-            body.append(f"t{len(names)} = {_emit(sub, names=names)}")
-            names[sub] = f"t{len(names)}"
-    fn = _compile("X, P", body + [f"return [{', '.join(_emit(e, names=names) for e in exprs)}]"])
-    flat = np.array(flat, dtype=int)
-
-    def evaluate(X, P):
-        out = np.zeros(ends[-1])
-        out[flat] = fn(X, P)
-        return [out[a:b].reshape(shape) for a, b, (shape, _) in zip(ends, ends[1:], blocks)]
-
-    return evaluate
-
-
-def slot_derivatives(model, order):
-    """Evaluator (X, P) of Model.frozen_derivatives of order 1 or 2."""
+def slot_derivative_blocks(model, order):
+    """(shape, entry) blocks of frozen_derivatives of order 1 or 2; entry(*index) is an AST."""
     n, m, f, nz = model.n, model.m, model.rhs_exprs, model.n + model.n_p
     if order not in (1, 2):
         raise ModelError(f"derivative order must be 1 or 2, got {order!r}")
     if order == 1:
-        return _compile_frozen([
+        return [
             ((m, n, n), lambda j, r, i: _diff(f[r], State(i + 1, j + 1))),
             ((n, model.n_p), lambda r, k: _dz(model, f[r], n + k)),
-        ])
-    return _compile_frozen([
+        ]
+    return [
         ((m, n, n, nz), lambda j, r, i, z: _dz(model, _diff(f[r], State(i + 1, j + 1)), z)),
         ((m, nz), lambda j, z: _dz(model, model.delay_exprs[j], z)),
-    ])
+    ]

@@ -85,6 +85,27 @@ class TestSubcommands:
         assert code == 2
         assert "radius" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["branch", "--step-init", "0"], "initial must be positive"),
+        (["branch", "--step-init", "nan"], "initial must be positive"),
+        (["branch", "--max-points", "0"], "max_points must be at least 1"),
+        (["hopf-curve", "--step-init", "0"], "initial must be positive"),
+        (["eq", "--cheb-nodes", "0"], "cheb_nodes must be at least 1"),
+        (["roots", "--root-count", "0"], "count must be at least 1"),
+        (["roots", "--re-cutoff", "inf"], "re_cutoff must be finite"),
+    ], ids=["branch-step-init-0", "branch-step-init-nan", "branch-max-points-0",
+            "hopf-curve-step-init-0", "eq-cheb-nodes-0", "roots-root-count-0",
+            "roots-re-cutoff-inf"])
+    def test_bad_step_and_root_values_are_usage_errors(self, capsys, argv, message):
+        rest = {
+            "branch": ["--model", SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"],
+            "hopf-curve": ["--model", POSCONTROL, "--par", "tau0=1,s0=4,k=1,c=2,gamma=1",
+                           "--free", "tau0,s0", "--omega-guess", "0.52", "--guess", "4,4"],
+        }.get(argv[0], ["--model", SCALAR, "--par", "p=-1.5"])
+        code, out, err = invoke(capsys, argv + rest)
+        assert code == 2
+        assert out == "" and message in err
+
     def test_readme_monitored_hopf_curve(self, capsys):
         # the README hopf-curve --monitor-l1 example: L1 changes sign once on each leg
         code, out, err = invoke(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,6 +9,8 @@ from sddde import (
     ConvergenceError,
     DerivSettings,
     ModelError,
+    RootSettings,
+    SdddeError,
     StepSettings,
     continue_branch,
     continue_hopf_curve,
@@ -147,6 +151,16 @@ class TestBranch:
         (fold,) = [pt for pt in pts if pt.event == "FOLD"]
         assert abs(fold.param) <= 1e-8 and abs(fold.x[0]) <= 1e-4
         assert sum(1 for (_, params, _) in lin_calls if params[0] == fold.param) == 1
+
+    def test_fold_iterates_skip_the_roots(self, monkeypatch):
+        # the secant iterates need only det(sum A_j); the roots are computed at the fold alone
+        calls = _counting(monkeypatch, "characteristic_roots")
+        pts = continue_branch(parse_model(FOLD_SRC), {"p": 1.0}, "p", (-1.0, 2.0),
+                              np.array([1.0]), step=StepSettings(initial=0.1))
+        k = next(i for i, pt in enumerate(pts) if pt.event == "FOLD")
+        lo, hi = sorted((pts[k - 1].x[0], pts[k + 1].x[0]))
+        inside = [lin.xstar[0] for (lin, *_) in calls if lo < lin.xstar[0] < hi]
+        assert inside == [pts[k].x[0]]
 
     def test_reversal_retraces_branch(self, scalar_model):
         fwd = continue_branch(
@@ -390,8 +404,8 @@ class TestArclengthStepper:
         # h = 0.1: 14 attempts
         assert len(attempts) == 14
 
-    def test_hopf_curve_max_points_zero_is_the_start_point(self, poscontrol_model, poscontrol_ref,
-                                                         monkeypatch):
+    def test_hopf_curve_max_points_one_is_one_step_per_leg(self, poscontrol_model,
+                                                           poscontrol_ref, monkeypatch):
         calls = _counting(monkeypatch, "newton")
         pts = continue_hopf_curve(
             poscontrol_model,
@@ -399,11 +413,32 @@ class TestArclengthStepper:
             ("tau0", "s0"),
             np.array([4.0, 4.0]),
             omega_guess=np.pi / 6,
-            step=StepSettings(initial=0.1, max_points=0),
+            step=StepSettings(initial=0.1, max_points=1),
         )
-        assert len(pts) == 1
-        assert len(calls) == 2  # the start solves only: no corrector ran
-        assert pts[0].residual <= 1e-8
+        assert len(pts) == 3
+        assert len(calls) == 4  # the two start solves and one corrector per leg
+        assert max(pt.residual for pt in pts) <= 1e-8
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"initial": 0.0}, "initial must be positive and finite"),
+        ({"initial": -0.1}, "initial must be positive and finite"),
+        ({"initial": math.nan}, "initial must be positive and finite"),
+        ({"max_step": math.inf}, "max_step must be positive and finite"),
+        ({"max_points": 0}, "max_points must be at least 1"),
+    ])
+    def test_step_settings_are_validated(self, settings, message):
+        with pytest.raises(SdddeError, match=message):
+            StepSettings(**settings)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"count": 0}, "count must be at least 1"),
+        ({"re_cutoff": math.nan}, "re_cutoff must be finite"),
+        ({"re_cutoff": -math.inf}, "re_cutoff must be finite"),
+        ({"cheb_nodes": 0}, "cheb_nodes must be at least 1"),
+    ])
+    def test_root_settings_are_validated(self, settings, message):
+        with pytest.raises(SdddeError, match=message):
+            RootSettings(**settings)
 
     def test_hopf_curve_leg_ends_at_delay_domain(self):
         m = parse_model(CUBIC_SHORT_DOMAIN_SRC)

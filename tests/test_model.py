@@ -260,6 +260,31 @@ class TestEvalOnNodes:
         assert overflow.eval_on_nodes([], [-1e3], v, [0.5j], 1.0)[0, 0] == 0.0
 
 
+# 1/x1@1 in f and 0/x1@1 in the delay both divide by zero at x = 0
+ZERO_DIVISOR_SRC = (
+    'name="zd"\ndim=1\nparameters=[]\ntau_max=2\n'
+    'delays=["0", "1 + 0/x1@1"]\nrhs=["1/x1@1 - x1@2"]\n'
+)
+
+
+@pytest.mark.parametrize("call, cause", [
+    (lambda m: m.eval_rhs(np.zeros((1, 2)), []), ZeroDivisionError),
+    (lambda m: m.eval_functional([], np.array([0.0])), ZeroDivisionError),
+    (lambda m: m.eval_on_nodes([], [0.0], ExpPoly.constant([1.0]), [0.5, 0.0], 2.0),
+     FloatingPointError),
+    (lambda m: m.frozen_derivatives([], [0.0], order=1), ZeroDivisionError),
+    (lambda m: m.frozen_derivatives([], [0.0], order=2), ZeroDivisionError),
+    (lambda m: m.frozen_delays([], [0.0]), ZeroDivisionError),
+    (lambda m: simulate(m, [], np.array([0.0]), t_end=0.1, step=0.1), ZeroDivisionError),
+], ids=["eval_rhs", "eval_functional", "eval_on_nodes", "frozen_derivatives_1",
+        "frozen_derivatives_2", "frozen_delays", "simulate"])
+def test_numerical_error_keeps_the_math_error_as_cause(call, cause):
+    with pytest.raises(NumericalError) as err:
+        call(parse_model(ZERO_DIVISOR_SRC))
+    assert type(err.value.__cause__) is cause
+    assert str(err.value) == f"numerical failure: {err.value.__cause__}"
+
+
 class TestEquilibriumHelpers:
     def test_scalar_frozen_delays(self, scalar_model, pi_half):
         res = scalar_model.equilibrium_residual([-pi_half], [-pi_half])
@@ -288,6 +313,14 @@ class TestEquilibriumHelpers:
         with pytest.raises(DelayRangeError) as err:
             m.frozen_delays([1.0], np.array([math.inf]))
         assert err.value.slot == 2 and math.isnan(err.value.value)
+
+    def test_residual_never_evaluates_a_delay(self):
+        # the delay log(x1@1) fails at x = -1, where f = p - x1@2 is fine
+        m = parse_model('name="ld"\ndim=1\nparameters=["p"]\ntau_max=2\n'
+                        'delays=["0", "log(x1@1)"]\nrhs=["p - x1@2"]\n')
+        assert m.equilibrium_residual([0.5], [-1.0]).tolist() == [1.5]
+        with pytest.raises(NumericalError, match="^numerical failure: math domain error$"):
+            m.frozen_delays([0.5], [-1.0])
 
     def test_params_from_validation(self, poscontrol_model):
         with pytest.raises(ModelError, match="not assigned"):
@@ -340,11 +373,12 @@ class TestRoundTrip:
     def test_rename_invariance(self):
         a = parse_expr("p*x1@2 + sin(beta)", ("p", "beta"), 2, 2)
         b = parse_expr("alpha*x1@2 + sin(omega)", ("alpha", "omega"), 2, 2)
-        from sddde.model import compile_expr
-
+        delays = [Num(0.0), Num(1.0)]
         X = [[0.3, -0.8], [1.1, 0.25]]
         P = [1.7, -0.4]
-        assert compile_expr(a)(X, P) == compile_expr(b)(X, P)
+        ma = Model("a", 2, ("p", "beta"), delays, [a, a])
+        mb = Model("b", 2, ("alpha", "omega"), delays, [b, b])
+        assert np.array_equal(ma.eval_rhs(X, P), mb.eval_rhs(X, P))
 
 
 # --- compiled functional against a tree-walking interpreter ------------------

@@ -8,10 +8,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -26,3 +26,12 @@ def test_hopf_curve_l1_scan_finds_the_l1_zero():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("tau0,s0,omega,L1,event\n")
     assert ",L1_ZERO\n" in proc.stdout
+
+
+def test_cli_digests_prints_one_line_per_cli_operation():
+    proc = run_script("cli_digests.py", "--seeds", "0")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    workloads = [line.split()[:2] for line in lines]
+    assert workloads == [["hopf_curve_l1", "0"]] + [["continuation", "0"]] * 3
+    assert all(len(line.split()[-1]) == 64 for line in lines)
