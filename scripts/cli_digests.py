@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of the CLI output of the CLI benchmark workloads.
+"""SHA-256 digests of the CLI output of the benchmark workloads and the README.
 
 Builds the operations of ``hopf_curve_l1`` and ``continuation`` from
-``perfbench/workloads.py`` for each seed, runs each one in-process against
-this checkout's ``src``, and prints one ``workload seed op sha256`` line per
-operation; the digest covers the exit code, stdout and stderr. Running it in
-two checkouts and diffing the outputs shows whether their CLI output is
-byte-identical.
+``perfbench/workloads.py`` for each seed, then the README's CLI runs on the
+bundled models, runs each one in-process against this checkout's ``src``,
+and prints one ``workload seed op sha256`` line per operation (workload
+``readme``, seed ``-`` for the fixed README runs); the digest covers the
+exit code, stdout and stderr. Running it in two checkouts and diffing the
+outputs shows whether their CLI output is byte-identical.
 
     python3 scripts/cli_digests.py --seeds 0-3
 """
@@ -22,6 +23,26 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 
 WORKLOADS = ("hopf_curve_l1", "continuation")
+
+SCALAR = ["--model", str(ROOT / "models" / "scalar_nested.mdl")]
+POSCONTROL = ["--model", str(ROOT / "models" / "position_control.mdl"),
+              "--par", "tau0=1,s0=4,k=1,c=2,gamma=1", "--guess", "4,4"]
+SIMULATE = ["simulate", *SCALAR, "--par", "p=-1.6", "--t-end", "50", "--step", "0.02"]
+# the README's CLI examples whose models are in models/
+README_RUNS = {
+    "eq": ["eq", *POSCONTROL],
+    "roots": ["roots", *SCALAR, "--par", "p=-1.5707963267948966"],
+    "hopf-nf": ["hopf-nf", *SCALAR, "--par", "p=-1.5707963", "--omega-guess", "1"],
+    "branch": ["branch", *SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"],
+    "hopf-curve --monitor-l1": ["hopf-curve", *POSCONTROL, "--free", "tau0,s0",
+                                "--omega-guess", "0.52", "--monitor-l1"],
+    "simulate": SIMULATE,
+    "simulate --format csv": SIMULATE + ["--format", "csv"],
+}
+
+
+def digest(res):
+    return hashlib.sha256(f"{res.code}\n{res.out}\n{res.err}".encode()).hexdigest()
 
 
 def parse_seeds(text):
@@ -39,9 +60,9 @@ def main(argv=None):
     for seed in parse_seeds(args.seeds):
         for name in WORKLOADS:
             for op in workloads.build(name, seed, ROOT):
-                res = op.run()
-                blob = f"{res.code}\n{res.out}\n{res.err}".encode()
-                print(f"{name} {seed} {op.name} {hashlib.sha256(blob).hexdigest()}", flush=True)
+                print(f"{name} {seed} {op.name} {digest(op.run())}", flush=True)
+    for name, argv in README_RUNS.items():
+        print(f"readme - {name} {digest(workloads.run_cli(argv))}", flush=True)
 
 
 if __name__ == "__main__":

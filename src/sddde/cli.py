@@ -149,28 +149,33 @@ def build_parser():
             help="parameter assignments, e.g. --par tau0=1,s0=4",
         )
         p.add_argument("--format", choices=("ndjson", "csv"), default="ndjson")
-        p.add_argument("--deriv-radius", type=float, default=0.25, help="derivative circle radius")
-        p.add_argument("--deriv-levels", type=int, default=2, help="derivative node levels")
+        p.add_argument("--guess", help="equilibrium guess, comma separated (default zeros)")
+
+    def root_knobs(p):
         p.add_argument("--cheb-nodes", type=int, default=32, help="pseudospectral seed nodes")
         p.add_argument("--root-count", type=int, default=6, help="characteristic roots to report")
         p.add_argument("--re-cutoff", type=float, default=2.0, help="root window Re >= -cutoff")
 
+    def deriv_knobs(p):
+        p.add_argument("--deriv-radius", type=float, default=0.25, help="derivative circle radius")
+        p.add_argument("--deriv-levels", type=int, default=2, help="derivative node levels")
+
     p_eq = sub.add_parser("eq", help="solve an equilibrium and report rightmost roots")
     common(p_eq)
-    p_eq.add_argument("--guess", help="initial guess, comma separated (default zeros)")
+    root_knobs(p_eq)
 
     p_roots = sub.add_parser("roots", help="characteristic roots at an equilibrium")
     common(p_roots)
-    p_roots.add_argument("--guess", help="equilibrium guess (default zeros)")
+    root_knobs(p_roots)
 
     p_hopf = sub.add_parser("hopf-nf", help="Hopf normal form (L1) at an equilibrium")
     common(p_hopf)
-    p_hopf.add_argument("--guess", help="equilibrium guess (default zeros)")
+    deriv_knobs(p_hopf)
     p_hopf.add_argument("--omega-guess", type=float, required=True)
 
     p_fold = sub.add_parser("fold-nf", help="fold normal-form coefficient at a zero root")
     common(p_fold)
-    p_fold.add_argument("--guess", help="equilibrium guess (default zeros)")
+    deriv_knobs(p_fold)
 
     p_br = sub.add_parser(
         "branch",
@@ -183,7 +188,7 @@ def build_parser():
         ),
     )
     common(p_br)
-    p_br.add_argument("--guess", help="equilibrium guess (default zeros)")
+    root_knobs(p_br)
     p_br.add_argument("--free", required=True, help="free parameter name")
     p_br.add_argument("--range", required=True, help="lo:hi for the free parameter")
     p_br.add_argument("--step-init", type=float, default=0.05)
@@ -199,7 +204,7 @@ def build_parser():
         ),
     )
     common(p_hc)
-    p_hc.add_argument("--guess", help="equilibrium guess (default zeros)")
+    deriv_knobs(p_hc)
     p_hc.add_argument("--free", required=True, help="two parameter names, comma separated")
     p_hc.add_argument("--omega-guess", type=float, required=True)
     p_hc.add_argument("--monitor-l1", action="store_true")
@@ -209,7 +214,6 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="method-of-steps initial value run")
     common(p_sim)
     p_sim.add_argument("--history", help="constant history, comma separated (default: --guess equilibrium)")
-    p_sim.add_argument("--guess", help="equilibrium guess when --history is omitted")
     p_sim.add_argument("--t-end", type=float, required=True)
     p_sim.add_argument("--step", type=float, required=True)
     return top
@@ -243,29 +247,45 @@ def run(argv=None):
         return 1
 
 
+# the flag that sets each settings field, by settings class
+_KNOBS = {
+    RootSettings: {"count": "--root-count", "re_cutoff": "--re-cutoff",
+                   "cheb_nodes": "--cheb-nodes"},
+    DerivSettings: {"radius": "--deriv-radius", "levels": "--deriv-levels"},
+    StepSettings: {"initial": "--step-init", "max_points": "--max-points"},
+}
+
+
+def _settings(args, cls):
+    """cls from the subcommand's flags, None if it has none; a bad value is a usage error."""
+    flags = _KNOBS[cls]
+    values = {field: getattr(args, flag[2:].replace("-", "_"), None)
+              for field, flag in flags.items()}
+    if None in values.values():
+        return None
+    try:
+        return cls(**values)
+    except SdddeError as err:  # each message starts with the field, which the flag replaces
+        field, _, rest = str(err).partition(" ")
+        raise ModelError(f"{flags[field]} {rest}") from None
+
+
 def _dispatch(args, writer):
     model = load_model(args.model)
     assignments = _parse_assignments(args.par)
     params = model.params_from(assignments)
-    try:  # bad flag values are usage errors
-        deriv = DerivSettings(radius=args.deriv_radius, levels=args.deriv_levels)
-        roots_cfg = RootSettings(
-            count=args.root_count, re_cutoff=args.re_cutoff, cheb_nodes=args.cheb_nodes
-        )
-        if args.command in ("branch", "hopf-curve"):
-            step = StepSettings(initial=args.step_init, max_points=args.max_points)
-    except SdddeError as err:
-        raise ModelError(str(err)) from None
+    roots_cfg, deriv, step = (_settings(args, cls) for cls in _KNOBS)
+
+    def guess():
+        return _parse_vector(args.guess, model.n, "--guess")
 
     def equilibrium():
-        return solve_equilibrium(model, params, _parse_vector(args.guess, model.n, "--guess"))
+        return solve_equilibrium(model, params, guess())
 
     if args.command in ("eq", "roots"):
         x = equilibrium()
         lin = linearize(model, params, x)
-        rts = characteristic_roots(
-            lin, count=roots_cfg.count, re_cutoff=roots_cfg.re_cutoff, cheb_nodes=roots_cfg.cheb_nodes
-        )
+        rts = characteristic_roots(lin, roots_cfg.count, roots_cfg.re_cutoff, roots_cfg.cheb_nodes)
         if args.command == "roots":
             for lam, mult in rts:
                 writer.record("point", {"root": lam, "multiplicity": mult})
@@ -311,15 +331,8 @@ def _dispatch(args, writer):
             prange = (float(lo), float(hi))
         except ValueError:
             raise ModelError("--range must be lo:hi") from None
-        pts = continue_branch(
-            model,
-            assignments,
-            args.free,
-            prange,
-            _parse_vector(args.guess, model.n, "--guess"),
-            step=step,
-            roots=roots_cfg,
-        )
+        pts = continue_branch(model, assignments, args.free, prange, guess(), step=step,
+                              roots=roots_cfg)
         for pt in pts:
             kind = "event" if pt.event else "point"
             data = {
@@ -341,16 +354,8 @@ def _dispatch(args, writer):
         names = [s.strip() for s in args.free.split(",") if s.strip()]
         if len(names) != 2:
             raise ModelError("--free must name exactly two parameters")
-        pts = continue_hopf_curve(
-            model,
-            assignments,
-            names,
-            _parse_vector(args.guess, model.n, "--guess"),
-            args.omega_guess,
-            step=step,
-            monitor_l1=args.monitor_l1,
-            deriv_settings=deriv,
-        )
+        pts = continue_hopf_curve(model, assignments, names, guess(), args.omega_guess,
+                                  step=step, monitor_l1=args.monitor_l1, deriv_settings=deriv)
         for pt in pts:
             kind = "event" if pt.event else "point"
             data = {

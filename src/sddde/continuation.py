@@ -1,23 +1,33 @@
 """Equilibrium branches, bifurcation detection, and Hopf-curve continuation.
 
-Branches and Hopf curves share one pseudo-arclength stepper, _arclength
-(secant predictor, corrector, step halving and growth). On branches the
-test functions _test_hopf (real part of the rightmost complex pair) and
-_test_fold (determinant of the frozen-delay Jacobian) are evaluated at
-every accepted point.
+Branches and Hopf curves run through one driver, _continue: each leg takes
+the accepted points of the pseudo-arclength stepper _arclength (secant
+predictor, corrector, step halving and growth), and the legs are joined as
+reversed(backward) + [start] + forward. A branch leg starts with a natural
+step and lands on the range end; a Hopf-curve leg starts along the
+nullspace tangent and ends where the curve leaves the delay domain.
+
+Events are sign changes of test functions: _test_hopf (real part of the
+rightmost complex pair) and _test_fold (determinant of the frozen-delay
+Jacobian) on branches, L1 on monitored Hopf curves. As each point of a leg
+is accepted, _events locates every sign change since the previous point by
+one Illinois secant along the curve, _locate_zero. An L1 sign change whose
+located |L1| is not below both ends is a pole (near a fold-Hopf point or a
+resonance): a warning, not an L1_ZERO.
 
 Hopf curves are continued in two parameters through the extended real
 system {equilibrium residual; Re/Im of Delta(i w) q0; Re/Im of (c.q0 - 1)}
-with the normalization row c frozen per curve. L1 can be monitored along
-the curve. A sign change of any test function (HOPF, FOLD, L1_ZERO)
-between two accepted points is located by one Illinois secant along the
-curve, _locate_zero. Every Newton step takes the exact Jacobian of its
-system, built from the model's symbolic slot derivatives.
+with the normalization row c frozen per curve. Every Newton step takes the
+exact Jacobian of its system, built from the model's symbolic slot
+derivatives.
 """
 
+import itertools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -217,6 +227,60 @@ def _locate_zero(system, value, ya, yb, va, vb, span, tol):
 
 
 # ---------------------------------------------------------------------------
+# the continuation driver, shared by branches and Hopf curves
+
+# A test function, whose sign changes between accepted points are events. The
+# point field ``at`` holds its value at accepted points; value(y) returns (value,
+# payload) at the secant iterates; event(y, payload, ends) makes the event point
+# (None drops it); tol bounds the error in the components span of y.
+_Test = namedtuple("_Test", "at value event span tol")
+
+
+def _continue(system, start, steps, signs, max_points, make_point, tests, stop=()):
+    """Both legs from start = (y0, point), joined as reversed(backward) + [start] + forward.
+
+    steps(sgn) yields the accepted (y, h) of the leg of orientation sgn;
+    make_point(y, h) turns each into a point. A leg takes at most max_points
+    of them, asking for no step beyond, and an error of a type in stop ends
+    it. The events since the previous point precede each point of a leg.
+    """
+    legs = {}
+    for sgn in signs:
+        leg, prev = [], start
+        try:
+            for y, h in itertools.islice(steps(sgn), max_points):
+                new = (y, make_point(y, h))
+                leg += _events(system, tests, prev, new) + [new[1]]
+                prev = new
+        except stop:
+            pass
+        legs[sgn] = leg
+    return legs.get(-1.0, [])[::-1] + [start[1]] + legs.get(+1.0, [])
+
+
+def _events(system, tests, a, b):
+    """Event points between consecutive accepted points a and b, each a (y, point) pair.
+
+    Each test whose values at a and b are finite and of opposite signs is
+    located by _locate_zero, the span of the chord setting its distance
+    per unit t. The events come in their order along the chord.
+    """
+    (ya, pa), (yb, pb) = a, b
+    seg = yb - ya
+    located = []
+    for test in tests:
+        va, vb = getattr(pa, test.at), getattr(pb, test.at)
+        if not (np.isfinite(va) and np.isfinite(vb) and np.sign(va) * np.sign(vb) < 0):
+            continue
+        span = np.linalg.norm(seg[test.span])
+        y, payload = _locate_zero(system, test.value, ya, yb, va, vb, span, test.tol)
+        point = test.event(y, payload, (pa, pb))
+        if point is not None:
+            located.append(((y - ya) @ seg, point))
+    return [point for _, point in sorted(located, key=lambda e: e[0])]
+
+
+# ---------------------------------------------------------------------------
 # one-parameter equilibrium branches
 
 
@@ -239,11 +303,6 @@ def _with_param(pvec, idx, value):
     return pv
 
 
-def _roots(lin, cfg):
-    rts = characteristic_roots(lin, cfg.count, cfg.re_cutoff, cfg.cheb_nodes)
-    return tuple(lam for lam, _ in rts)
-
-
 def _test_hopf(lams):
     """Largest real part of a complex root (Hopf test function); -inf if none."""
     complex_res = [lam.real for lam in lams if abs(lam.imag) > _IM_TOL]
@@ -257,7 +316,8 @@ def _test_fold(lin):
 
 def _make_point(lin, pvalue, roots_cfg, step):
     """Branch point at the equilibrium lin.xstar, with roots and test functions."""
-    lams = _roots(lin, roots_cfg)
+    rts = characteristic_roots(lin, roots_cfg.count, roots_cfg.re_cutoff, roots_cfg.cheb_nodes)
+    lams = tuple(lam for lam, _ in rts)
     return BranchPoint(
         param=float(pvalue),
         x=lin.xstar.copy(),
@@ -282,10 +342,10 @@ def continue_branch(
     """Continue the equilibrium branch over prange, detecting Hopf/fold points.
 
     Returns an ordered list of BranchPoint; detected bifurcations appear as
-    extra points with event set to "HOPF" or "FOLD". Leaving the range
-    terminates the corresponding direction normally. direction is "both",
-    "forward" (increasing parameter) or "backward"; anything else raises
-    ModelError.
+    extra points with event set to "HOPF" or "FOLD", located to 1e-8 in
+    (x, p). Leaving the range terminates the corresponding direction
+    normally. direction is "both", "forward" (increasing parameter) or
+    "backward"; anything else raises ModelError.
     """
     if free_name not in model.param_names:
         raise ModelError(f"unknown free parameter {free_name!r}")
@@ -296,13 +356,65 @@ def continue_branch(
     p0 = float(pvec[fidx])
     if not (lo <= p0 <= hi):
         raise ModelError(f"initial {free_name}={p0} outside range [{lo}, {hi}]")
+    n = model.n
+    system = _branch_system(model, pvec, fidx)
+
+    def solve_at(pval, x_seed):
+        return np.append(solve_equilibrium(model, _with_param(pvec, fidx, pval), x_seed), pval)
+
+    def lin_at(y):
+        return linearize(model, _with_param(pvec, fidx, y[n]), y[:n])
+
+    def steps(sgn):
+        """A natural first step, then arclength steps; the last lands on the range end."""
+        p1 = p0 + sgn * step.initial
+        if not (lo <= p1 <= hi):
+            return
+        y1 = solve_at(p1, x0)
+        yield y1, sgn * step.initial
+        for y, h in _arclength(system, y1, y1 - y0, step,
+                               "continuation step underflow (corrector keeps failing)"):
+            if lo <= y[n] <= hi:
+                yield y, h
+                continue
+            yield solve_at(hi if y[n] > hi else lo, y[:n]), sgn * h
+            return
+
+    def value(y, event):
+        lin = lin_at(y)
+        if event == "FOLD":  # det(sum A_j) needs no roots
+            return _test_fold(lin), (lin, None)
+        point = _make_point(lin, y[n], roots, 0.0)
+        return point.test_hopf, (lin, point)
 
     x0 = solve_equilibrium(model, pvec, x_guess)
+    y0 = np.append(x0, p0)
     start = _make_point(linearize(model, pvec, x0), p0, roots, 0.0)
-    legs = {
-        sgn: _branch_leg(model, pvec, fidx, (lo, hi), start, sgn, step, roots) for sgn in signs
-    }
-    return list(reversed(legs.get(-1.0, []))) + [start] + legs.get(+1.0, [])
+    tests = [_Test(f"test_{event.lower()}", partial(value, event=event),
+                   partial(_branch_event, event, roots), slice(None), 1e-8)
+             for event in ("HOPF", "FOLD")]
+    return _continue(system, (y0, start), steps, signs, step.max_points,
+                     lambda y, h: _make_point(lin_at(y), y[n], roots, h), tests)
+
+
+def _branch_event(event, roots, y, payload, ends):
+    """The located HOPF or FOLD point; None for a Hopf pair that fails validation.
+
+    A FOLD's roots are computed here, at the located point only.
+    """
+    lin, point = payload
+    point = replace(point or _make_point(lin, y[-1], roots, 0.0), event=event, step=ends[1].step)
+    if event == "FOLD":
+        return point
+    pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
+    if not pair:
+        return None
+    cand = min(pair, key=lambda z: abs(z.real))
+    try:
+        return replace(point, omega=hopf_eigendata(lin, cand.imag).omega)
+    except (DegenerateEigenvalueError, ConvergenceError) as err:
+        warnings.warn(f"Hopf candidate at {point.param:.8g} failed validation: {err}")
+        return None
 
 
 def _branch_system(model, pvec_base, fidx):
@@ -317,94 +429,6 @@ def _branch_system(model, pvec_base, fidx):
         return np.hstack([A.sum(axis=0), fp[:, [fidx]]])
 
     return residual, jacobian
-
-
-def _branch_leg(model, pvec_base, fidx, bounds, start, sgn, step, roots):
-    """One direction: a natural first step, then arclength steps to the range end."""
-    lo, hi = bounds
-    n = model.n
-    system = _branch_system(model, pvec_base, fidx)
-    out = []
-
-    def solve_at(pval, x_seed):
-        return solve_equilibrium(model, _with_param(pvec_base, fidx, pval), x_seed)
-
-    def lin_at(y):
-        return linearize(model, _with_param(pvec_base, fidx, y[n]), y[:n])
-
-    def accept(pval, x, h):
-        prev = out[-1] if out else start
-        y = np.append(x, pval)
-        out.append(_make_point(lin_at(y), y[n], roots, h))
-        _detect_events(system, lin_at, roots, prev, out[-1], out)
-
-    p1 = start.param + sgn * step.initial
-    if not (lo <= p1 <= hi):
-        return out
-    x1 = solve_at(p1, start.x)
-    accept(p1, x1, sgn * step.initial)
-    y1 = np.concatenate([x1, [p1]])
-    steps = _arclength(
-        system, y1, y1 - np.concatenate([start.x, [start.param]]), step,
-        "continuation step underflow (corrector keeps failing)",
-    )
-    while len(out) < step.max_points:
-        y_new, h = next(steps, (None, None))
-        if y_new is None:
-            break
-        p_new = float(y_new[n])
-        if lo <= p_new <= hi:
-            accept(p_new, y_new[:n], h)
-            continue
-        # land exactly on the boundary and stop this leg
-        p_end = hi if p_new > hi else lo
-        accept(p_end, solve_at(p_end, y_new[:n]), sgn * h)
-        break
-    return out
-
-
-def _detect_events(system, lin_at, roots, pt_a, pt_b, out):
-    """Locate the test-function zeros between two branch points on the branch.
-
-    Each bracketed sign change of test_hopf or test_fold is located by
-    _locate_zero on the branch system, to 1e-8 along the chord in (x, p):
-    the parameter alone stops moving at a fold. The event point is the
-    locator's last evaluation; FOLD iterates need only det(sum A_j), so
-    their roots are computed once, at the located point. Events are
-    inserted before pt_b, in their order along the chord.
-    """
-    ya, yb = (np.append(pt.x, pt.param) for pt in (pt_a, pt_b))
-    seg = yb - ya
-    located = []
-    for event, test in (("HOPF", "test_hopf"), ("FOLD", "test_fold")):
-        va, vb = getattr(pt_a, test), getattr(pt_b, test)
-        if not (np.isfinite(va) and np.isfinite(vb) and np.sign(va) * np.sign(vb) < 0):
-            continue
-
-        def value(y, event=event):
-            lin = lin_at(y)
-            if event == "FOLD":
-                return _test_fold(lin), (lin, None)
-            point = _make_point(lin, y[-1], roots, pt_b.step)
-            return point.test_hopf, (lin, point)
-
-        y, (lin, point) = _locate_zero(system, value, ya, yb, va, vb, np.linalg.norm(seg), 1e-8)
-        point = replace(point or _make_point(lin, y[-1], roots, pt_b.step), event=event)
-        if event == "HOPF":
-            pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
-            if not pair:
-                continue
-            cand = min(pair, key=lambda z: abs(z.real))
-            try:
-                point = replace(point, omega=hopf_eigendata(lin, cand.imag).omega)
-            except (DegenerateEigenvalueError, ConvergenceError) as err:
-                warnings.warn(f"Hopf candidate at {point.param:.8g} failed validation: {err}")
-                continue
-        located.append(((y - ya) @ seg, point))
-    if located:
-        last = out.pop()
-        out.extend(point for _, point in sorted(located, key=lambda e: e[0]))
-        out.append(last)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +537,9 @@ def continue_hopf_curve(
 
     Every accepted point satisfies the extended system to corrector
     tolerance; with monitor_l1 the first Lyapunov coefficient is computed
-    at each point and its sign changes are refined on the curve and
-    reported as L1_ZERO events (degenerate Hopf, Bautin candidate).
+    at each point and its sign changes are located on the curve to 1e-6 in
+    (p1, p2) and reported as L1_ZERO events (degenerate Hopf, Bautin
+    candidate). A sign change through a pole of L1 is a warning instead.
     direction is "both", "forward" (first free parameter increasing at the
     start) or "backward"; anything else raises ModelError.
     """
@@ -524,89 +549,53 @@ def continue_hopf_curve(
     n = model.n
     y0, c_row = start_hopf_curve(model, assignments, free_names, x_guess, omega_guess)
     system = _hopf_system(model, pvec_base, [f1, f2], c_row)
-    residual = system[0]
+    pars = slice(3 * n + 1, 3 * n + 3)
+
+    def params_at(y):
+        return _with_param(pvec_base, [f1, f2], y[pars])
 
     def curve_l1(y):
-        pv = _with_param(pvec_base, [f1, f2], y[3 * n + 1 : 3 * n + 3])
-        return hopf_l1(model, pv, y[:n], y[3 * n], settings=deriv_settings).L1
+        return hopf_l1(model, params_at(y), y[:n], y[3 * n], settings=deriv_settings).L1
 
-    def make_point(y, event=None, L1=None):
-        res = float(np.max(np.abs(residual(y))))
+    def point_at(y):
         q = y[n : 2 * n] + 1j * y[2 * n : 3 * n]
         point = HopfCurvePoint(
             params=(float(y[3 * n + 1]), float(y[3 * n + 2])),
             x=y[:n].copy(),
             omega=float(y[3 * n]),
             q0=phase_fixed(q / np.linalg.norm(q))[0],
-            residual=res,
-            L1=None,
-            event=event,
+            residual=float(np.max(np.abs(system[0](y)))),
         )
-        if _simplicity_lost(model, pvec_base, f1, f2, y, n):
+        lin = linearize(model, params_at(y), y[:n], check_equilibrium=False)
+        if _nullity(char_matrix(lin, 1j * y[3 * n])) > 1:
             raise DegenerateEigenvalueError(
                 "loss of simplicity of the critical pair along the Hopf curve"
             )
-        if monitor_l1:
-            point = replace(point, L1=curve_l1(y) if L1 is None else L1)
         return point
 
-    start = make_point(y0)
-    legs = {sgn: _curve_leg(system, make_point, y0, sgn, step, n) for sgn in signs}
-    forward = legs.get(+1.0, [])
-    backward = legs.get(-1.0, [])
-    pts = [pt for _, pt in reversed(backward)] + [start] + [pt for _, pt in forward]
-    ys = [y for y, _ in reversed(backward)] + [y0] + [y for y, _ in forward]
+    def make_point(y, h):
+        point = point_at(y)
+        return replace(point, L1=curve_l1(y)) if monitor_l1 else point
 
-    if monitor_l1:
-        pts = _locate_l1_zeros(system, make_point, curve_l1, ys, pts, n)
-    return pts
+    def steps(sgn):
+        """Arclength steps from the nullspace tangent of the extended system."""
+        _, _, Vh = np.linalg.svd(system[1](y0))
+        tangent = Vh[-1]
+        # deterministic orientation: first free parameter increases for sgn=+1
+        ref = tangent[3 * n + 1]
+        if abs(ref) < 1e-12:
+            ref = tangent[int(np.argmax(np.abs(tangent)))]
+        return _arclength(system, y0, tangent * (np.sign(ref) * sgn), step,
+                          "Hopf-curve corrector failure after step underflow")
 
+    def l1_zero(y, l1, ends):
+        if abs(l1) < min(abs(pt.L1) for pt in ends):
+            return replace(point_at(y), L1=l1, event="L1_ZERO")
+        where = ", ".join(f"{model.param_names[k]}={v:.8g}" for k, v in zip((f1, f2), y[pars]))
+        warnings.warn(f"L1 changes sign through a pole, not a zero, at {where} "
+                      f"(L1 = {l1:.6g}): no L1_ZERO reported")
+        return None
 
-def _curve_leg(system, make_point, y_start, sgn, step, n):
-    """One direction: arclength steps from the nullspace tangent of the extended system."""
-    _, _, Vh = np.linalg.svd(system[1](y_start))
-    tangent = Vh[-1]
-    # deterministic orientation: first free parameter increases for sgn=+1
-    ref = tangent[3 * n + 1]
-    if abs(ref) < 1e-12:
-        ref = tangent[int(np.argmax(np.abs(tangent)))]
-    steps = _arclength(
-        system, y_start, tangent * (np.sign(ref) * sgn), step,
-        "Hopf-curve corrector failure after step underflow",
-    )
-    out = []
-    try:
-        while len(out) < step.max_points:
-            y_new, _ = next(steps, (None, None))
-            if y_new is None:
-                break
-            out.append((y_new, make_point(y_new)))
-    except DelayRangeError:
-        pass  # the curve left the model's delay domain: end this leg
-    return out
-
-
-def _simplicity_lost(model, pvec_base, f1, f2, y, n):
-    pv = _with_param(pvec_base, [f1, f2], y[3 * n + 1 : 3 * n + 3])
-    lin = linearize(model, pv, y[:n], check_equilibrium=False)
-    return _nullity(char_matrix(lin, 1j * y[3 * n])) > 1
-
-
-def _locate_l1_zeros(system, make_point, curve_l1, ys, pts, n):
-    """Insert an L1_ZERO event at each L1 sign change, located to 1e-6 in (p1, p2)."""
-    out = list(pts)
-    inserted = 0
-    for k in range(len(pts) - 1):
-        a, b = pts[k], pts[k + 1]
-        if a.L1 is None or b.L1 is None or a.L1 == 0.0:
-            continue
-        if np.sign(a.L1) * np.sign(b.L1) >= 0:
-            continue
-        seg = ys[k + 1] - ys[k]
-        span = np.hypot(seg[3 * n + 1], seg[3 * n + 2])  # (p1, p2) distance per unit t
-        y_t, l_t = _locate_zero(
-            system, lambda y: (curve_l1(y),) * 2, ys[k], ys[k + 1], a.L1, b.L1, span, 1e-6
-        )
-        out.insert(k + 1 + inserted, make_point(y_t, event="L1_ZERO", L1=l_t))
-        inserted += 1
-    return out
+    tests = [_Test("L1", lambda y: (curve_l1(y),) * 2, l1_zero, pars, 1e-6)] if monitor_l1 else []
+    return _continue(system, (y0, make_point(y0, 0.0)), steps, signs, step.max_points,
+                     make_point, tests, stop=DelayRangeError)

@@ -9,6 +9,8 @@ from conftest import model_path
 
 SCALAR = str(model_path("scalar_nested.mdl"))
 POSCONTROL = str(model_path("position_control.mdl"))
+ROOT_KNOBS = ["--root-count", "--re-cutoff", "--cheb-nodes"]
+DERIV_KNOBS = ["--deriv-radius", "--deriv-levels"]
 
 
 def invoke(capsys, argv):
@@ -83,16 +85,16 @@ class TestSubcommands:
              "--omega-guess", "1", "--deriv-radius", "2"],
         )
         assert code == 2
-        assert "radius" in err
+        assert err == "sddde: --deriv-radius must lie in (0, 1]\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["branch", "--step-init", "0"], "initial must be positive"),
-        (["branch", "--step-init", "nan"], "initial must be positive"),
-        (["branch", "--max-points", "0"], "max_points must be at least 1"),
-        (["hopf-curve", "--step-init", "0"], "initial must be positive"),
-        (["eq", "--cheb-nodes", "0"], "cheb_nodes must be at least 1"),
-        (["roots", "--root-count", "0"], "count must be at least 1"),
-        (["roots", "--re-cutoff", "inf"], "re_cutoff must be finite"),
+        (["branch", "--step-init", "0"], "--step-init must be positive and finite"),
+        (["branch", "--step-init", "nan"], "--step-init must be positive and finite"),
+        (["branch", "--max-points", "0"], "--max-points must be at least 1"),
+        (["hopf-curve", "--step-init", "0"], "--step-init must be positive and finite"),
+        (["eq", "--cheb-nodes", "0"], "--cheb-nodes must be at least 1"),
+        (["roots", "--root-count", "0"], "--root-count must be at least 1"),
+        (["roots", "--re-cutoff", "inf"], "--re-cutoff must be finite"),
     ], ids=["branch-step-init-0", "branch-step-init-nan", "branch-max-points-0",
             "hopf-curve-step-init-0", "eq-cheb-nodes-0", "roots-root-count-0",
             "roots-re-cutoff-inf"])
@@ -104,7 +106,29 @@ class TestSubcommands:
         }.get(argv[0], ["--model", SCALAR, "--par", "p=-1.5"])
         code, out, err = invoke(capsys, argv + rest)
         assert code == 2
-        assert out == "" and message in err
+        assert out == "" and err == f"sddde: {message}\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command, knobs in [
+            ("eq", DERIV_KNOBS), ("roots", DERIV_KNOBS), ("branch", DERIV_KNOBS),
+            ("hopf-nf", ROOT_KNOBS), ("fold-nf", ROOT_KNOBS), ("hopf-curve", ROOT_KNOBS),
+            ("simulate", ROOT_KNOBS + DERIV_KNOBS),
+        ]
+        for flag in knobs
+    ])
+    def test_knob_of_another_subcommand_is_usage_error(self, capsys, command, flag):
+        # each subcommand takes only the numeric knobs it reads
+        required = {
+            "branch": ["--free", "p", "--range=-2:-1"],
+            "hopf-nf": ["--omega-guess", "1"],
+            "hopf-curve": ["--free", "p,p", "--omega-guess", "1"],
+            "simulate": ["--t-end", "1", "--step", "0.1"],
+        }.get(command, [])
+        argv = [command, "--model", SCALAR, "--par", "p=-1.5", *required, flag, "3"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 3" in err
 
     def test_readme_monitored_hopf_curve(self, capsys):
         # the README hopf-curve --monitor-l1 example: L1 changes sign once on each leg
@@ -116,6 +140,26 @@ class TestSubcommands:
         assert code == 0, err
         zeros = [r for r in records(out) if r["kind"] == "event" and r["event"] == "L1_ZERO"]
         assert len(zeros) == 2
+
+    def test_l1_pole_at_fold_hopf_is_a_warning(self, capsys, tmp_path):
+        # on b = c the real mode x2 has a zero root, so h11 and with it L1 diverge: L1
+        # changes sign through a pole at b = 1, which is no degenerate Hopf point
+        path = tmp_path / "fold_hopf.mdl"
+        path.write_text(
+            'dim = 2\nparameters = ["a", "b", "c"]\ntau_max = 2\ndelays = ["0", "1"]\n'
+            'rhs = ["-a*x1@2 + x1@1*x2@1", "(b - c)*x2@1 + x1@1^2"]\n'
+        )
+        code, out, err = invoke(
+            capsys,
+            ["hopf-curve", "--model", str(path), "--par", "a=1.5707963267948966,b=0,c=1",
+             "--free", "a,b", "--omega-guess", "1.5708", "--guess", "0,0", "--monitor-l1",
+             "--max-points", "20"],
+        )
+        assert code == 0, err
+        recs = records(out)
+        assert [r for r in recs if r["kind"] == "event"] == []
+        (warning,) = [r["message"] for r in recs if r["kind"] == "warning"]
+        assert "pole" in warning and "b=1.00000" in warning
 
     def test_root_shortfall_reported_as_warning(self, capsys):
         code, out, _ = invoke(

@@ -33,5 +33,11 @@ def test_cli_digests_prints_one_line_per_cli_operation():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     workloads = [line.split()[:2] for line in lines]
-    assert workloads == [["hopf_curve_l1", "0"]] + [["continuation", "0"]] * 3
+    assert workloads == ([["hopf_curve_l1", "0"]] + [["continuation", "0"]] * 3
+                         + [["readme", "-"]] * 7)
+    # the README's CLI runs whose models are bundled, after the seeded operations
+    assert [" ".join(line.split()[2:-1]) for line in lines[4:]] == [
+        "eq", "roots", "hopf-nf", "branch", "hopf-curve --monitor-l1", "simulate",
+        "simulate --format csv",
+    ]
     assert all(len(line.split()[-1]) == 64 for line in lines)
