@@ -34,6 +34,8 @@ README_RUNS = {
     "roots": ["roots", *SCALAR, "--par", "p=-1.5707963267948966"],
     "hopf-nf": ["hopf-nf", *SCALAR, "--par", "p=-1.5707963", "--omega-guess", "1"],
     "branch": ["branch", *SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"],
+    # the forward leg ends where the nested delay leaves [0, tau_max]
+    "branch --range=-1:1": ["branch", *SCALAR, "--par", "p=-0.5", "--free", "p", "--range=-1:1"],
     "hopf-curve --monitor-l1": ["hopf-curve", *POSCONTROL, "--free", "tau0,s0",
                                 "--omega-guess", "0.52", "--monitor-l1"],
     "simulate": SIMULATE,

@@ -19,7 +19,6 @@ from .spectral import (
     char_matrix_deriv,
     characteristic_roots,
     eigenfunction,
-    hopf_coordinates,
     hopf_eigendata,
     linearize,
     resolvent_apply,
@@ -72,7 +71,6 @@ __all__ = [
     "directional_derivative",
     "eigenfunction",
     "fold_coefficient",
-    "hopf_coordinates",
     "hopf_eigendata",
     "hopf_h2",
     "hopf_l1",

@@ -5,7 +5,7 @@ the accepted points of the pseudo-arclength stepper _arclength (secant
 predictor, corrector, step halving and growth), and the legs are joined as
 reversed(backward) + [start] + forward. A branch leg starts with a natural
 step and lands on the range end; a Hopf-curve leg starts along the
-nullspace tangent and ends where the curve leaves the delay domain.
+nullspace tangent. Either leg ends where a delay leaves [0, tau_max].
 
 Events are sign changes of test functions: _test_hopf (real part of the
 rightmost complex pair) and _test_fold (determinant of the frozen-delay
@@ -153,7 +153,7 @@ def _correct(system, tangent, y_pred, tol, max_iters):
 
 
 def _arclength(system, y, direction, step, underflow_msg):
-    """Accepted pseudo-arclength steps (y, h) from y, computed lazily.
+    """Accepted pseudo-arclength points from y, computed lazily.
 
     Predicts along the normalized direction, then along the secant of the
     last two points; h starts at step.initial, halves on corrector failure
@@ -176,7 +176,7 @@ def _arclength(system, y, direction, step, underflow_msg):
                 h *= _SHRINK
                 if h < _MIN_STEP:
                     raise ConvergenceError(underflow_msg) from None
-        yield y_new, h
+        yield y_new
         direction = y_new - y
         y = y_new
         if iters <= _FAST_ITERS:
@@ -239,8 +239,8 @@ _Test = namedtuple("_Test", "at value event span tol")
 def _continue(system, start, steps, signs, max_points, make_point, tests, stop=()):
     """Both legs from start = (y0, point), joined as reversed(backward) + [start] + forward.
 
-    steps(sgn) yields the accepted (y, h) of the leg of orientation sgn;
-    make_point(y, h) turns each into a point. A leg takes at most max_points
+    steps(sgn) yields the accepted y of the leg of orientation sgn;
+    make_point(y) turns each into a point. A leg takes at most max_points
     of them, asking for no step beyond, and an error of a type in stop ends
     it. The events since the previous point precede each point of a leg.
     """
@@ -248,8 +248,8 @@ def _continue(system, start, steps, signs, max_points, make_point, tests, stop=(
     for sgn in signs:
         leg, prev = [], start
         try:
-            for y, h in itertools.islice(steps(sgn), max_points):
-                new = (y, make_point(y, h))
+            for y in itertools.islice(steps(sgn), max_points):
+                new = (y, make_point(y))
                 leg += _events(system, tests, prev, new) + [new[1]]
                 prev = new
         except stop:
@@ -292,7 +292,6 @@ class BranchPoint:
     test_hopf: float
     test_fold: float
     stable: bool
-    step: float
     event: str | None = None
     omega: float | None = None
 
@@ -314,7 +313,7 @@ def _test_fold(lin):
     return float(np.linalg.det(sum(lin.A)))
 
 
-def _make_point(lin, pvalue, roots_cfg, step):
+def _make_point(lin, pvalue, roots_cfg):
     """Branch point at the equilibrium lin.xstar, with roots and test functions."""
     rts = characteristic_roots(lin, roots_cfg.count, roots_cfg.re_cutoff, roots_cfg.cheb_nodes)
     lams = tuple(lam for lam, _ in rts)
@@ -325,7 +324,6 @@ def _make_point(lin, pvalue, roots_cfg, step):
         test_hopf=_test_hopf(lams),
         test_fold=_test_fold(lin),
         stable=max((lam.real for lam in lams), default=float("-inf")) < 0.0,
-        step=float(step),
     )
 
 
@@ -343,9 +341,10 @@ def continue_branch(
 
     Returns an ordered list of BranchPoint; detected bifurcations appear as
     extra points with event set to "HOPF" or "FOLD", located to 1e-8 in
-    (x, p). Leaving the range terminates the corresponding direction
-    normally. direction is "both", "forward" (increasing parameter) or
-    "backward"; anything else raises ModelError.
+    (x, p). Leaving the range, or the delay domain (a delay outside
+    [0, tau_max]), terminates the corresponding direction normally.
+    direction is "both", "forward" (increasing parameter) or "backward";
+    anything else raises ModelError.
     """
     if free_name not in model.param_names:
         raise ModelError(f"unknown free parameter {free_name!r}")
@@ -371,30 +370,29 @@ def continue_branch(
         if not (lo <= p1 <= hi):
             return
         y1 = solve_at(p1, x0)
-        yield y1, sgn * step.initial
-        for y, h in _arclength(system, y1, y1 - y0, step,
-                               "continuation step underflow (corrector keeps failing)"):
-            if lo <= y[n] <= hi:
-                yield y, h
-                continue
-            yield solve_at(hi if y[n] > hi else lo, y[:n]), sgn * h
-            return
+        yield y1
+        for y in _arclength(system, y1, y1 - y0, step,
+                            "continuation step underflow (corrector keeps failing)"):
+            if not lo <= y[n] <= hi:
+                yield solve_at(hi if y[n] > hi else lo, y[:n])
+                return
+            yield y
 
     def value(y, event):
         lin = lin_at(y)
         if event == "FOLD":  # det(sum A_j) needs no roots
             return _test_fold(lin), (lin, None)
-        point = _make_point(lin, y[n], roots, 0.0)
+        point = _make_point(lin, y[n], roots)
         return point.test_hopf, (lin, point)
 
     x0 = solve_equilibrium(model, pvec, x_guess)
     y0 = np.append(x0, p0)
-    start = _make_point(linearize(model, pvec, x0), p0, roots, 0.0)
+    start = _make_point(linearize(model, pvec, x0), p0, roots)
     tests = [_Test(f"test_{event.lower()}", partial(value, event=event),
                    partial(_branch_event, event, roots), slice(None), 1e-8)
              for event in ("HOPF", "FOLD")]
     return _continue(system, (y0, start), steps, signs, step.max_points,
-                     lambda y, h: _make_point(lin_at(y), y[n], roots, h), tests)
+                     lambda y: _make_point(lin_at(y), y[n], roots), tests, stop=DelayRangeError)
 
 
 def _branch_event(event, roots, y, payload, ends):
@@ -403,7 +401,7 @@ def _branch_event(event, roots, y, payload, ends):
     A FOLD's roots are computed here, at the located point only.
     """
     lin, point = payload
-    point = replace(point or _make_point(lin, y[-1], roots, 0.0), event=event, step=ends[1].step)
+    point = replace(point or _make_point(lin, y[-1], roots), event=event)
     if event == "FOLD":
         return point
     pair = [lam for lam in point.roots if lam.imag > _IM_TOL]
@@ -573,7 +571,7 @@ def continue_hopf_curve(
             )
         return point
 
-    def make_point(y, h):
+    def make_point(y):
         point = point_at(y)
         return replace(point, L1=curve_l1(y)) if monitor_l1 else point
 
@@ -597,5 +595,5 @@ def continue_hopf_curve(
         return None
 
     tests = [_Test("L1", lambda y: (curve_l1(y),) * 2, l1_zero, pars, 1e-6)] if monitor_l1 else []
-    return _continue(system, (y0, make_point(y0, 0.0)), steps, signs, step.max_points,
+    return _continue(system, (y0, make_point(y0)), steps, signs, step.max_points,
                      make_point, tests, stop=DelayRangeError)

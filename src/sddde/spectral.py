@@ -15,12 +15,13 @@ its largest-magnitude component is real positive.
 
 The resolvent acts in closed form on ExpPoly data. The spectral projection
 P_c, from contour moments, maps an ExpPoly to theta^k exp(z theta) terms,
-one per critical root z and Jordan-chain position k.
+one per critical root z and Jordan-chain position k; the contour nodes of a
+root are solved as one stack, with no ExpPoly built per node.
 """
 
 import warnings
 from dataclasses import dataclass, field
-from math import factorial, pi
+from math import factorial, perm, pi
 
 import numpy as np
 
@@ -43,10 +44,6 @@ class Linearization:
     @property
     def n(self):
         return self.A[0].shape[0]
-
-    @property
-    def m(self):
-        return len(self.A)
 
     @property
     def tau_span(self):
@@ -84,12 +81,6 @@ def char_matrix_deriv(lin, lam):
     for Aj, tau in zip(lin.A, lin.taus):
         out = out + tau * Aj * np.exp(-lam * tau)
     return out
-
-
-def apply_linearization(lin, f):
-    """A[f] = sum_j A_j f(-tau_j) for an ExpPoly (or callable) f."""
-    ev = f.eval if isinstance(f, ExpPoly) else f
-    return sum(Aj @ np.asarray(ev(-tau), dtype=complex) for Aj, tau in zip(lin.A, lin.taus))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +304,16 @@ _MOMENTS = 8          # contour moments M_0..M_7 examined per critical root
 _MOMENT_TOL = 1e-6
 
 
+def _antiderivative(power, alpha):
+    """c_0..c_k with int s^k e^{alpha s} ds = e^{alpha s} sum_i c_i s^{k-i}, k = power."""
+    return [(-1.0) ** i * perm(power, i) / alpha ** (i + 1) for i in range(power + 1)]
+
+
+def _series_weights(power):
+    """w_t with int_theta^0 s^k e^{alpha s} ds = -sum_t w_t alpha^t theta^{k+t+1}."""
+    return np.array([1.0 / (factorial(t) * (power + t + 1)) for t in range(_SERIES_TERMS)])
+
+
 def exp_integral(v, lam):
     """I(theta) = int_theta^0 exp(lam (theta - s)) v(s) ds as an ExpPoly."""
     terms = []
@@ -320,39 +321,48 @@ def exp_integral(v, lam):
         alpha = mu - lam
         if abs(alpha) < _SERIES_CUTOFF:
             # near-resonant: expand exp(alpha s) to keep coefficients benign
-            for t in range(_SERIES_TERMS):
-                fac = alpha**t / factorial(t)
-                terms.append((-coef * fac / (power + t + 1), power + t + 1, lam))
+            terms += [(-coef * w * alpha**t, power + t + 1, lam)
+                      for t, w in enumerate(_series_weights(power))]
         else:
-            # int s^k e^{alpha s} ds = e^{alpha s} sum_i (-1)^i k!/(k-i)! s^{k-i}/alpha^{i+1}
-            q0 = (-1.0) ** power * factorial(power) / alpha ** (power + 1)
-            terms.append((coef * q0, 0, lam))
-            for i in range(power + 1):
-                ci = (-1.0) ** i * factorial(power) / factorial(power - i) / alpha ** (i + 1)
-                terms.append((-coef * ci, power - i, mu))
+            c = _antiderivative(power, alpha)
+            terms.append((coef * c[-1], 0, lam))
+            terms += [(-coef * ci, power - i, mu) for i, ci in enumerate(c)]
     return ExpPoly(v.dim, terms)
 
 
-def _boundary_data(lin, lam, v):
-    """(I, b) with I = exp_integral(v, lam) and b(lambda) = v(0) + A[I]."""
-    integral = exp_integral(v, lam)
-    return integral, v.eval(0.0) + apply_linearization(lin, integral)
+def _boundary_data(lin, lams, v):
+    """b(lambda) = v(0) + sum_j A_j I_lambda v(-tau_j), one row per lambda of a 1-d array:
+    exp_integral's closed form per term on the (lambda, tau_j) grid, or its
+    series at the lambdas a mask finds within _SERIES_CUTOFF of the term exponent."""
+    lam, theta = np.asarray(lams, dtype=complex)[:, None], -np.array(lin.taus)
+    e_lam, out = np.exp(lam * theta), np.tile(v.eval(0.0), (lam.size, 1))
+    for coef, power, mu in v.terms:
+        alpha = mu - lam
+        near = np.abs(alpha[:, 0]) < _SERIES_CUTOFF
+        c = _antiderivative(power, np.where(near[:, None], 1.0, alpha))
+        g = c[-1] * e_lam - np.exp(mu * theta) * np.polyval(c, theta)
+        g[near] = -e_lam[near] * theta ** (power + 1) * (
+            (alpha[near] * theta)[..., None] ** np.arange(_SERIES_TERMS) @ _series_weights(power))
+        out += g @ (np.array(lin.A) @ coef)
+    return out
 
 
-def _resolvent_x0(lin, lam, v):
-    """(Delta(lambda)^{-1} b(lambda), I); refuses a (numerical) characteristic root."""
-    D = char_matrix(lin, lam)
-    if _nullity(D) > 0:
-        raise NumericalError(f"resolvent undefined: lambda={lam:.6g} is a characteristic root")
-    integral, rhs = _boundary_data(lin, lam, v)
-    return np.linalg.solve(D, rhs), integral
+def _resolvent_x0(lin, lams, v):
+    """Delta(lambda)^{-1} b(lambda) at each lambda of a 1-d array, as one stacked
+    solve; refuses a (numerical) characteristic root among them."""
+    lams = np.asarray(lams, dtype=complex)
+    D = char_matrix(lin, lams)
+    hit = lams[_nullity(D) > 0]
+    if hit.size:
+        raise NumericalError(f"resolvent undefined: lambda={hit[0]:.6g} is a characteristic root")
+    return np.linalg.solve(D, _boundary_data(lin, lams, v)[..., None])[..., 0]
 
 
 def resolvent_apply(lin, lam, v):
     """R(lambda) v: x(theta) = e^{lam theta} x0 + I(theta) in closed form, with
     x0 = Delta(lambda)^{-1} [v(0) + A[I]]; errors if lambda is a characteristic root."""
-    x0, integral = _resolvent_x0(lin, lam, v)
-    return combine(1.0, ExpPoly.exponential(x0, lam), 1.0, integral)
+    x0 = _resolvent_x0(lin, [lam], v)[0]
+    return combine(1.0, ExpPoly.exponential(x0, lam), 1.0, exp_integral(v, lam))
 
 
 def adjoint_coordinate(lin, lam, p_row, v):
@@ -362,14 +372,7 @@ def adjoint_coordinate(lin, lam, p_row, v):
     p Delta'(lam) q = 1 normalization; equivalently the adjoint-eigenvector
     pairing written with integrals over [0, tau_j].
     """
-    return p_row @ _boundary_data(lin, lam, v)[1]
-
-
-def hopf_coordinates(lin, eig, v):
-    """(c1, c2) with P_c v = c1 q + c2 qbar for the simple Hopf pair."""
-    c1 = adjoint_coordinate(lin, eig.lam, eig.p0, v)
-    c2 = adjoint_coordinate(lin, -eig.lam, eig.p0.conj(), v)
-    return c1, c2
+    return p_row @ _boundary_data(lin, [lam], v)[0]
 
 
 def _root_pool(lin, around):
@@ -387,7 +390,8 @@ def spectral_projection(lin, critical, v, radius=None):
     M_k = (1/2 pi i) oint (lam - z)^k Delta(lam)^{-1} b(lam) dlam are the
     contour moments (Beyn, Linear Algebra Appl. 436, 2012), by the trapezoid
     rule on 64 nodes of a circle around z whose default radius is half the
-    distance to the nearest other root. The resolvent's I_lam v part is
+    distance to the nearest other root, all nodes in one stacked solve (a node
+    on a characteristic root is refused). The resolvent's I_lam v part is
     entire in lam and integrates to zero. A simple root keeps M_0 only, any
     other root its moments up to the first negligible one (its Jordan
     chain). A later moment with |M_k| span^k / k! > 1e-6 (1 + |M_0|) means
@@ -408,7 +412,7 @@ def spectral_projection(lin, critical, v, radius=None):
     terms = []
     for z, rho in zip(critical, radii):
         offsets = rho * nodes
-        x0 = np.array([_resolvent_x0(lin, z + h, v)[0] for h in offsets])
+        x0 = _resolvent_x0(lin, z + offsets, v)
         moments = [np.mean(offsets[:, None] ** (k + 1) * x0, axis=0) for k in range(_MOMENTS)]
         sizes = [np.max(np.abs(mk)) * span**k / factorial(k) for k, mk in enumerate(moments)]
         tol = _MOMENT_TOL * (1.0 + sizes[0])

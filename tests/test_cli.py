@@ -179,6 +179,16 @@ class TestSubcommands:
         assert code == 1
         assert "delay out of range" in err
 
+    def test_branch_leg_ends_at_the_delay_domain_boundary(self, capsys):
+        # the nested delay -x turns negative past p = 0: the forward leg ends before it
+        code, out, err = invoke(
+            capsys, ["branch", "--model", SCALAR, "--par", "p=-0.5", "--free", "p", "--range=-1:1"]
+        )
+        assert code == 0, err
+        params = [r["param"] for r in records(out) if r["kind"] == "point"]
+        assert len(params) == 12 and params == sorted(params)
+        assert params[0] == -1.0 and -0.2 < params[-1] < 0.0
+
     def test_raw_numeric_failure_maps_to_exit_1(self, capsys, tmp_path):
         # log of a non-positive state raises a math domain error mid-solve
         path = tmp_path / "logmodel.mdl"

@@ -15,7 +15,6 @@ from sddde import (
     characteristic_roots,
     combine,
     eigenfunction,
-    hopf_coordinates,
     hopf_eigendata,
     linearize,
     parse_model,
@@ -25,8 +24,10 @@ from sddde import (
 )
 from sddde.spectral import (
     Linearization,
+    _boundary_data,
     _refine_roots,
-    apply_linearization,
+    adjoint_coordinate,
+    exp_integral,
     generator_eigenvalues,
     refine_root,
 )
@@ -35,6 +36,11 @@ PI_2 = np.pi / 2
 
 LINEAR_DELAY_SRC = 'name="lin"\ndim=1\nparameters=[]\ntau_max=2\ndelays=["0","1"]\nrhs=["0 - x1@2"]\n'
 NO_DELAY_SRC = 'name="ode"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\nrhs=["x1@1"]\n'
+
+
+def apply_linearization(lin, f):
+    """A[f] = sum_j A_j f(-tau_j) for an ExpPoly f, one delay at a time."""
+    return sum(Aj @ f.eval(-tau) for Aj, tau in zip(lin.A, lin.taus))
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +373,8 @@ class TestResolventProjection:
     def test_projection_matches_adjoint_formula(self, scalar_lin):
         eig = hopf_eigendata(scalar_lin, 1.0)
         v = self._test_function()
-        c1, c2 = hopf_coordinates(scalar_lin, eig, v)
+        c1 = adjoint_coordinate(scalar_lin, eig.lam, eig.p0, v)
+        c2 = adjoint_coordinate(scalar_lin, -eig.lam, eig.p0.conj(), v)
         q = eigenfunction(eig)
         viaresidue = combine(c1, q, c2, q.conjugate())
         pv = spectral_projection(scalar_lin, [1j, -1j], v)
@@ -377,9 +384,11 @@ class TestResolventProjection:
     def test_coordinates_are_cartesian_on_basis(self, scalar_lin):
         eig = hopf_eigendata(scalar_lin, 1.0)
         q = eigenfunction(eig)
-        c1, c2 = hopf_coordinates(scalar_lin, eig, q)
+        c1 = adjoint_coordinate(scalar_lin, eig.lam, eig.p0, q)
+        c2 = adjoint_coordinate(scalar_lin, -eig.lam, eig.p0.conj(), q)
         assert abs(c1 - 1.0) < 1e-10 and abs(c2) < 1e-10
-        d1, d2 = hopf_coordinates(scalar_lin, eig, q.conjugate())
+        d1 = adjoint_coordinate(scalar_lin, eig.lam, eig.p0, q.conjugate())
+        d2 = adjoint_coordinate(scalar_lin, -eig.lam, eig.p0.conj(), q.conjugate())
         assert abs(d1) < 1e-10 and abs(d2 - 1.0) < 1e-10
 
     def test_projection_rank_matches_enclosed_roots(self, scalar_lin):
@@ -406,6 +415,84 @@ class TestResolventProjection:
             (0, -1.0),
             (0, 1.0),
         ]
+
+
+class TestBatchedProjection:
+    """The contour nodes of a critical root are solved as one stack; these pin
+    it to the node-by-node resolvent data it replaced."""
+
+    CRITERION6 = [("scalar_nested", p) for p in (-1.2, -1.4, -PI_2, -1.7, -1.9)] + [
+        ("position_control", ts) for ts in ((0.6, 2.0), (0.8, 3.0), (1.0, 4.0), (1.2, 4.5), (1.4, 5.0))
+    ]
+
+    @staticmethod
+    def _direction(n):
+        return combine(
+            1.0,
+            ExpPoly.exponential(np.linspace(0.4, 1.0, n) + 0.1j, 0.3 + 0.9j),
+            1.0,
+            ExpPoly.exponential(np.linspace(-0.3, 0.5, n), -0.2 - 1.1j, power=2),
+        )
+
+    @staticmethod
+    def _per_node_moments(lin, z, v, rho, nodes=64, moments=8):
+        """Contour moments M_k around z from one resolvent solve per node."""
+        offsets = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        x0 = np.array([
+            np.linalg.solve(char_matrix(lin, lam),
+                            v.eval(0.0) + apply_linearization(lin, exp_integral(v, lam)))
+            for lam in z + offsets
+        ])
+        return [np.mean(offsets[:, None] ** (k + 1) * x0, axis=0) for k in range(moments)]
+
+    def _assert_matches_per_node(self, lin, critical, v, rho):
+        pv = spectral_projection(lin, critical, v, radius=rho)
+        moments = {z: self._per_node_moments(lin, z, v, rho) for z in critical}
+        scale = max(float(np.max(np.abs(coef))) for coef, _, _ in pv.terms)
+        assert {exponent for _, _, exponent in pv.terms} == set(critical)
+        for coef, power, z in pv.terms:
+            ref = moments[z][power] / scipy.special.factorial(power)
+            assert np.max(np.abs(coef - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name", ["scalar_nested", "position_control"])
+    def test_boundary_data_matches_exp_integral(self, name, scalar_model, poscontrol_model):
+        model = scalar_model if name == "scalar_nested" else poscontrol_model
+        lin = _equilibrium_lin(model, -PI_2 if name == "scalar_nested" else (1.0, 4.0))
+        v = self._direction(model.n)
+        _, power, mu = v.terms[-1]
+        far = 0.4j + 0.7 * np.exp(2j * np.pi * np.arange(16) / 16)
+        lams = np.append(far, mu + 4e-7 * np.exp(0.3j))  # the last runs the series
+        assert power == 2 and min(abs(e - lam) for _, _, e in v.terms for lam in far) > 0.1
+        # the series of the theta^2 term reaches theta^(2 + 12)
+        assert max(p for _, p, _ in exp_integral(v, lams[-1]).terms) == 14
+        b = _boundary_data(lin, lams, v)
+        ref = np.array([v.eval(0.0) + apply_linearization(lin, exp_integral(v, lam)) for lam in lams])
+        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(b[-1] - ref[-1])) <= 1e-13 * np.max(np.abs(ref[-1]))
+
+    @pytest.mark.parametrize("name, setting", CRITERION6)
+    def test_projection_matches_per_node_loop(self, name, setting, scalar_model, poscontrol_model):
+        model = scalar_model if name == "scalar_nested" else poscontrol_model
+        lin = _equilibrium_lin(model, setting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            roots = [z for z, _ in characteristic_roots(lin, count=6, re_cutoff=3.0)]
+        lam = max((z for z in roots if z.imag > 1e-9), key=lambda z: z.real)
+        rho = 0.5 * min(abs(w - lam) for w in roots if abs(w - lam) > 1e-8)
+        self._assert_matches_per_node(lin, [lam, np.conj(lam)], self._direction(model.n), rho)
+
+    @pytest.mark.parametrize("A", [[[-0.3, 1.0], [0.0, -0.3]], [[-0.3, 0.0], [0.0, -0.3]]],
+                             ids=["jordan-block", "a-identity"])
+    def test_non_simple_projection_matches_per_node_loop(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self._assert_matches_per_node(_two_by_two(A), [-0.3], _plane_direction(), 0.5)
+
+    def test_contour_node_on_a_root_is_refused(self, scalar_lin):
+        # node 48 of the circle |lam - i| = 2 is -i, a root of the scalar model
+        v = ExpPoly.exponential([0.7 - 0.2j], 0.3 + 0.9j)
+        with pytest.raises(NumericalError, match="resolvent undefined: lambda=.* is a characteristic root"):
+            spectral_projection(scalar_lin, [1j], v, radius=2.0)
 
 
 def _two_by_two(A):
