@@ -33,6 +33,8 @@ README_RUNS = {
     "eq": ["eq", *POSCONTROL],
     "roots": ["roots", *SCALAR, "--par", "p=-1.5707963267948966"],
     "hopf-nf": ["hopf-nf", *SCALAR, "--par", "p=-1.5707963", "--omega-guess", "1"],
+    "fold-nf": ["fold-nf", "--model", str(ROOT / "models" / "fold_quadratic.mdl"),
+                "--par", "p=0", "--guess", "0"],
     "branch": ["branch", *SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"],
     # the forward leg ends where the nested delay leaves [0, tau_max]
     "branch --range=-1:1": ["branch", *SCALAR, "--par", "p=-0.5", "--free", "p", "--range=-1:1"],

@@ -54,15 +54,16 @@ class ExpPoly:
                 merged[key] = (merged[key][0] + coef, power, exponent)
             else:
                 merged[key] = (coef, power, exponent)
-        out = []
-        for key in sorted(merged):
-            coef, power, exponent = merged[key]
-            coef = np.where(np.abs(coef) < _COEF_FLOOR, 0.0, coef)
-            if np.any(coef != 0):
-                coef.setflags(write=False)
-                out.append((coef, power, exponent))
+        keys = sorted(merged)
+        coefs = np.array([merged[key][0] for key in keys], dtype=complex).reshape(-1, dim)
+        coefs[np.abs(coefs) < _COEF_FLOOR] = 0.0
+        coefs.setflags(write=False)
+        kept = (coefs != 0).any(axis=1).tolist()
+        out = tuple(
+            (coef, *merged[key][1:]) for key, coef, keep in zip(keys, coefs, kept) if keep
+        )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", tuple(out))
+        object.__setattr__(self, "terms", out)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExpPoly is immutable")
@@ -101,14 +102,6 @@ class ExpPoly:
 
     def eval_real(self, theta):
         return self.eval(theta).real
-
-    def eval_many(self, theta):
-        """Exact values at an array of (complex) theta, shape (dim,) + theta.shape."""
-        theta = np.asarray(theta, dtype=complex)
-        out = np.zeros((self.dim,) + theta.shape, dtype=complex)
-        for coef, power, exponent in self.terms:
-            out += np.multiply.outer(coef, theta**power * np.exp(exponent * theta))
-        return out
 
     # -- calculus ------------------------------------------------------
 
@@ -179,18 +172,69 @@ def poly_multiply(f, root, multiplicity):
     return ExpPoly(f.dim, terms)
 
 
+class TermStack:
+    """The terms of K ExpPolys of one dim as arrays, in list and term order,
+    so that one set of array operations reads all K of them.
+
+    Each value is the per-term arithmetic of one ExpPoly, summed over its
+    terms in order from zero, so every ExpPoly's values are bit for bit
+    those of a stack of one.
+    """
+
+    def __init__(self, fs):
+        terms = [(k, r, term) for k, f in enumerate(fs) for r, term in enumerate(f.terms)]
+        self.count = len(fs)
+        self.owner = np.array([k for k, _, _ in terms], dtype=int)
+        self.coefs = np.array([t[0] for _, _, t in terms], dtype=complex).reshape(-1, fs[0].dim)
+        self.powers = np.array([t[1] for _, _, t in terms], dtype=int)
+        self.exponents = np.array([t[2] for _, _, t in terms], dtype=complex)
+        rank = np.array([r for _, r, _ in terms], dtype=int)
+        # the r-th terms of the ExpPolys that have one, and their owners
+        self._ranks = [(at, self.owner[at]) for at in (
+            np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1))]
+
+    def _sum(self, values):
+        """Per-term values, shape (T, ...), summed per ExpPoly in term order: (K, ...)."""
+        out = np.zeros((self.count,) + values.shape[1:], dtype=complex)
+        for at, owner in self._ranks:
+            out[owner] += values[at]
+        return out
+
+    def eval_rows(self, theta):
+        """ExpPoly k at the points of row k of theta, shape (dim, K, N) for theta
+        of shape (K, N); a scalar theta is read by all of them, shape (dim, K, 1)."""
+        theta = np.asarray(theta, dtype=complex)
+        if theta.ndim == 0:
+            theta = np.broadcast_to(theta, (self.count, 1))
+        at = theta[self.owner]
+        powered = np.empty_like(at)
+        for power in set(self.powers.tolist()):
+            sel = self.powers == power
+            powered[sel] = at[sel] ** power
+        values = powered * np.exp(self.exponents[:, None] * at)
+        return self._sum(self.coefs[:, :, None] * values[:, None, :]).transpose(1, 0, 2)
+
+    def sup_norms(self, lo, hi, samples=201):
+        """sup_norm of each ExpPoly, as an array of K values."""
+        grid = np.linspace(lo, hi, samples)
+        # scalar powers: array ** power rounds differently from theta ** power
+        polys = {power: np.array([t**power for t in grid]) if power else np.ones(samples)
+                 for power in set(self.powers.tolist())}
+        poly = np.array([polys[power] for power in self.powers.tolist()]).reshape(-1, samples)
+        index = {}  # one exp per distinct exponent
+        which = [index.setdefault(e, len(index)) for e in self.exponents.tolist()]
+        exps = np.exp(np.array(list(index), dtype=complex)[:, None] * grid)[which]
+        vals = self.coefs[:, None, :] * poly[:, :, None] * exps[:, :, None]
+        return np.max(np.abs(self._sum(vals)), axis=(1, 2))
+
+
 def sup_norm(f, lo, hi, samples=201):
     """max over a theta grid of the largest component magnitude.
 
     Grid-sampled; adequate for step scaling and test tolerances, not a
     certified bound. Each term is evaluated on the whole grid at once with
     the arithmetic and term order of :meth:`ExpPoly.eval`, so the result is
-    the per-point maximum bit for bit.
+    the per-point maximum bit for bit. TermStack.sup_norms gives it for
+    many ExpPolys at once.
     """
-    grid = np.linspace(lo, hi, samples)
-    vals = np.zeros((samples, f.dim), dtype=complex)
-    for coef, power, exponent in f.terms:
-        # scalar powers: array ** power rounds differently from theta ** power
-        poly = np.array([t**power for t in grid]) if power else np.ones(samples)
-        vals += coef * poly[:, None] * np.exp(exponent * grid)[:, None]
-    return float(np.max(np.abs(vals)))
+    return float(TermStack([f]).sup_norms(lo, hi, samples)[0])

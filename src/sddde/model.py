@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayRangeError, ModelError, NumericalError
+from .histfun import TermStack
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tan", "atan")
 
@@ -521,22 +522,28 @@ class Model:
         return np.array(values, dtype=float)
 
     def eval_on_nodes(self, params, xstar, v, deltas, tau_max):
-        """F(x* + delta v), continued to complex delta, at all nodes at once: shape (n, N).
+        """F(x* + delta v), continued to complex delta, at all nodes at once.
 
-        The ExpPoly v is read at complex theta = -tau; delays are checked on
-        Re tau and not clamped. Division by zero, overflow and invalid
-        operations raise NumericalError; underflow is no error.
+        v is one ExpPoly with deltas of shape (N,), giving shape (n, N), or a
+        list of K ExpPolys with deltas of shape (K, N), giving (n, K, N): row
+        k of the nodes reads direction k only. Each direction is read at
+        complex theta = -tau; delays are checked on Re tau and not clamped.
+        Division by zero, overflow and invalid operations raise
+        NumericalError; underflow is no error.
         """
         P = _floats(params, (self.n_p,), "parameter vector")
         X = _floats(xstar, (self.n,), "state vector")
-        deltas = np.asarray(deltas, dtype=complex)
+        stacked = isinstance(v, (list, tuple))
+        directions = TermStack(v if stacked else [v])
+        deltas = np.asarray(deltas, dtype=complex).reshape(directions.count, -1)
 
         def hist(theta):
-            return [x + deltas * w for x, w in zip(X, v.eval_many(theta))]
+            return [x + deltas * w for x, w in zip(X, directions.eval_rows(theta))]
 
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             values = self._on_nodes(P, hist, tau_max, hist(0.0))
-        return np.array([np.broadcast_to(value, deltas.shape) for value in values], dtype=complex)
+        out = np.array([np.broadcast_to(value, deltas.shape) for value in values], dtype=complex)
+        return out if stacked else out[:, 0]
 
     def _frozen(self, x):  # slot matrix with every slot at the state x
         return [[v] * self.m for v in _floats(x, (self.n,), "state vector")]

@@ -8,10 +8,12 @@ normal-form coefficient
 
 with criticality subcritical for L1 > 0 and supercritical for L1 < 0.
 Every form, F2(q, q), F2(q, qbar), F3(q, q, qbar) and the two on h20 and
-h11, is a multilinear_form: contour-integral derivatives polarized over
-the complex directions. The fold coefficient is the quadratic coefficient
-on the one-dimensional center manifold of a simple zero root,
-a = p0 F2(q, q) / 2.
+h11, is a multilinear form: contour-integral derivatives polarized over
+the complex directions. hopf_l1 takes them from multilinear_forms in two
+stacks: hopf_h2's F2(q, q) and F2(q, qbar) (3 derivatives), then the three
+forms of the bracket (8 derivatives). The fold coefficient is the
+quadratic coefficient on the one-dimensional center manifold of a simple
+zero root, a = p0 F2(q, q) / 2.
 
 The homological equations at order 2 are the two regular solves of
 hopf_h2, Delta(2 i w) h20 = F2(q, q) and Delta(0) h11 = 2 F2(q, qbar),
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivs import DerivSettings, check_consistency, multilinear_form
+from .derivs import DerivSettings, check_consistency, multilinear_form, multilinear_forms
 from .errors import DegenerateEigenvalueError, ResonanceError
 from .histfun import ExpPoly
 from .spectral import (
@@ -62,14 +64,14 @@ def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
 
     h2_11 is constant, h2_20 a pure exp(2 i w theta) term. forms, if given,
     holds precomputed "f2qq" = F2(q, q) and "f2qqbar" = F2(q, qbar), else
-    both come from multilinear_form. Raises ResonanceError when Delta(0)
-    (fold-Hopf) or Delta(2 i w) (1:2 resonance) is singular.
+    both come from one multilinear_forms stack. Raises ResonanceError when
+    Delta(0) (fold-Hopf) or Delta(2 i w) (1:2 resonance) is singular.
     """
     lin = lin or linearize(model, params, xstar)
     if forms is None:
         q = eigenfunction(eig)
-        forms = {name: multilinear_form(model, params, xstar, [q, w], settings)
-                 for name, w in (("f2qq", q), ("f2qqbar", q.conjugate()))}
+        forms = dict(zip(("f2qq", "f2qqbar"), multilinear_forms(
+            model, params, xstar, [[q, q], [q, q.conjugate()]], settings)))
     f2qq, f2qqbar = forms["f2qq"], forms["f2qqbar"]
     h20_coef = _solve_regular(
         char_matrix(lin, 2j * eig.omega), f2qq,
@@ -106,10 +108,10 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None):
     h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin)
     q = eigenfunction(eig)
     qbar = q.conjugate()
-    terms = [
-        multilinear_form(model, params, xstar, dirs, settings, all_levels=True)
-        for dirs in ([q, q, qbar], [qbar, h2_20], [q, h2_11])
-    ]
+    terms = multilinear_forms(
+        model, params, xstar, [[q, q, qbar], [qbar, h2_20], [q, h2_11]], settings,
+        all_levels=True,
+    )
     rows = terms[0] + terms[1] + terms[2]
     bracket = rows[-1]
     if settings.levels > 1:

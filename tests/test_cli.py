@@ -260,6 +260,13 @@ class TestSubcommands:
         (rec,) = [r for r in records(out) if r["kind"] == "result"]
         assert rec["a"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_bundled_fold_model(self, capsys):
+        # x' = p - x(t-1)^2 folds at p = 0, x = 0 with a = p0 F2(q, q) / 2 = -1
+        code, out, _ = invoke(capsys, ["fold-nf", "--model", str(model_path("fold_quadratic.mdl")),
+                                       "--par", "p=0", "--guess", "0"])
+        assert code == 0
+        assert records(out) == [{"kind": "result", "a": -1.0, "x": [0.0]}]
+
     def test_roots_stream(self, capsys):
         code, out, _ = invoke(
             capsys,

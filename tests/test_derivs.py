@@ -5,6 +5,7 @@ import pytest
 
 import sddde.derivs
 from sddde import (
+    DelayRangeError,
     DerivSettings,
     ExpPoly,
     NumericalError,
@@ -19,6 +20,8 @@ from sddde import (
     poly_multiply,
     sup_norm,
 )
+
+from sddde.model import Model
 
 from conftest import sympy_expr
 
@@ -40,6 +43,20 @@ def poscontrol_setup(poscontrol_model, poscontrol_ref):
     xstar = np.array([4.0, 4.0])
     eig = hopf_eigendata(linearize(poscontrol_model, params, xstar), np.pi / 6)
     return poscontrol_model, params, xstar, eig
+
+
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of directions of each eval_on_nodes call."""
+    sizes = []
+    on_nodes = Model.eval_on_nodes
+
+    def stacked(model, params, xstar, v, *args):
+        sizes.append(len(v) if isinstance(v, list) else 1)
+        return on_nodes(model, params, xstar, v, *args)
+
+    monkeypatch.setattr(Model, "eval_on_nodes", stacked)
+    return sizes
 
 
 def two_re_exp_i():
@@ -186,19 +203,24 @@ class TestMultilinearForm:
         row = multilinear_form(model, params, xstar, [q, q, q.conjugate()], all_levels=True)
         assert np.max(np.abs(row[-1] - row[-2])) <= 1e-4 * 1.0  # |F3 q q qbar| = 1
 
-    def test_vanishing_polarization_sums_are_skipped(self, scalar_setup, monkeypatch):
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_diagonal_form_is_the_directional_derivative(self, poscontrol_setup, order):
+        model, params, xstar, eig = poscontrol_setup
+        v = eigenfunction(eig).real_part()
+        form = multilinear_form(model, params, xstar, [v] * order)
+        dd = directional_derivative(model, params, xstar, v, order)
+        assert np.max(np.abs(form - dd)) <= 1e-10 * np.max(np.abs(dd))
+
+    def test_order_cap(self, scalar_setup):
+        model, params, xstar, _, eig = scalar_setup
+        with pytest.raises(SdddeError, match="orders 1..5"):
+            multilinear_form(model, params, xstar, [eigenfunction(eig)] * 6)
+
+    def test_vanishing_polarization_sums_are_skipped(self, scalar_setup, stack_sizes):
         model, params, xstar, _, eig = scalar_setup
         q = eigenfunction(eig)
-        seen = []
-        inner = sddde.derivs.directional_derivative
-
-        def recording(model, params, xstar, v, order, *args, **kwargs):
-            seen.append(v)
-            return inner(model, params, xstar, v, order, *args, **kwargs)
-
-        monkeypatch.setattr(sddde.derivs, "directional_derivative", recording)
         multilinear_form(model, params, xstar, [q, q])  # q - q = 0
-        assert len(seen) == 1
+        assert stack_sizes == [1]
 
 
 class TestNodeLevels:
@@ -226,19 +248,113 @@ class TestNodeLevels:
         assert np.array_equal(row[-1], multilinear_form(model, params, xstar, dirs))
 
 
+def stacked_rows(model, params, xstar, jobs, settings=DerivSettings()):
+    """The rows of one stack of (direction, order) jobs."""
+    tau_max = model.resolve_tau_max(params, xstar)
+    return sddde.derivs._derivatives(model, params, xstar, jobs, settings, tau_max)
+
+
+def assert_rows_are_solo(model, params, xstar, jobs, rows, settings=DerivSettings()):
+    for (v, order), row in zip(jobs, rows):
+        alone = directional_derivative(model, params, xstar, v, order, settings, all_levels=True)
+        assert row.dtype == alone.dtype
+        assert np.array_equal(row, alone)
+
+
+class TestStackedRows:
+    """Each row out of a stack is bit for bit its direction's solo derivative."""
+
+    @pytest.mark.parametrize("setup", ["scalar_setup", "poscontrol_setup"])
+    def test_rows_equal_solo_derivatives(self, setup, request, stack_sizes):
+        model, params, xstar, *_, eig = request.getfixturevalue(setup)
+        q = eigenfunction(eig)
+        n = model.n
+        directions = [
+            q,
+            q.real_part(),
+            q.conjugate(),
+            ExpPoly.exponential(np.linspace(0.6, -0.3, n), 0.2 + 0.8j).real_part(),
+            combine(1.0, ExpPoly.exponential(np.full(n, 0.5 - 0.2j), -0.3j, power=1), 1.0, q),
+        ]
+        jobs = [(v, order) for v in directions for order in range(1, 6)]
+        settings = DerivSettings(levels=3)
+        rows = stacked_rows(model, params, xstar, jobs, settings)
+        assert stack_sizes == [len(jobs)]
+        assert [row.shape for row in rows] == [(3, n)] * len(jobs)
+        assert [row.dtype for row in rows[5:10]] == [np.dtype(float)] * 5
+        assert_rows_are_solo(model, params, xstar, jobs, rows, settings)
+
+    def test_branch_point_halves_only_its_direction(self, stack_sizes):
+        # F = p - sqrt(x1@2) with the branch point 0.09 from x*: the constant
+        # direction's circle encloses it; e^(3 theta) is read at e^-3 of its norm
+        model = parse_model(
+            'name="sq"\ndim=1\nparameters=["p"]\ntau_max=2\n'
+            'delays=["0", "1"]\nrhs=["p - sqrt(x1@2)"]\n'
+        )
+        jobs = [(ExpPoly.exponential([1.0], 3.0), 2), (ExpPoly.constant([1.0]), 2)]
+        rows = stacked_rows(model, [0.3], [0.09], jobs)
+        assert stack_sizes[0] == 2 and len(stack_sizes) > 1
+        assert stack_sizes[1:] == [1] * (len(stack_sizes) - 1)
+        assert rows[1][-1][0] == pytest.approx(0.25 * 0.09**-1.5, abs=1e-6)
+        assert_rows_are_solo(model, [0.3], [0.09], jobs, rows)
+
+    def test_delay_out_of_range_splits_the_stack(self, stack_sizes):
+        # tau = 1.9 + x1@1 leaves [0, 2] along cos on the default circle; along
+        # sin it stays at 1.9. The stacked call cannot name its direction, so
+        # both go on alone
+        model = parse_model(
+            'name="near"\ndim=1\nparameters=["p"]\ntau_max=2\n'
+            'delays=["0", "1.9 + x1@1"]\nrhs=["p - sin(x1@2)"]\n'
+        )
+        cos = ExpPoly.exponential([1.0], 1j).real_part()
+        sin = ExpPoly.exponential([-0.5j], 1j) + ExpPoly.exponential([0.5j], -1j)
+        jobs = [(sin, 2), (cos, 2)]
+        with pytest.raises(DelayRangeError):
+            model.eval_on_nodes([0.0], [0.0], cos, 0.25 * np.exp(2j * np.pi * np.arange(16) / 16),
+                                2.0)
+        del stack_sizes[:]
+        rows = stacked_rows(model, [0.0], [0.0], jobs)
+        assert stack_sizes[:2] == [2, 1] and len(stack_sizes) > 3
+        assert stack_sizes[1:] == [1] * (len(stack_sizes) - 1)
+        assert rows[1][-1][0] == pytest.approx(2 * np.sin(1.9), abs=1e-9)
+        assert_rows_are_solo(model, [0.0], [0.0], jobs, rows)
+
+    def test_first_refused_job_in_list_order_raises(self):
+        # both circles enclose the pole 1e-3 from x* at every radius, with
+        # different gaps; a stack raises what running its jobs in order raises
+        model = parse_model(
+            'name="pole"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\n'
+            'rhs=["1/(x1@1 + 0.001)"]\n'
+        )
+        a = ExpPoly.constant([1.0])
+        b = combine(1.0, a, 0.01, ExpPoly.exponential([1.0], -1.0))
+        alone = []
+        for v in (a, b):
+            with pytest.raises(NumericalError) as err:
+                directional_derivative(model, [], [0.0], v, 2)
+            alone.append(str(err.value))
+        assert alone[0] != alone[1]
+        for jobs, first in (([(a, 2), (b, 2)], alone[0]), ([(b, 2), (a, 2)], alone[1])):
+            with pytest.raises(NumericalError) as err:
+                stacked_rows(model, [], [0.0], jobs)
+            assert str(err.value) == first
+
+
 class TestSymbolicOracle:
     """Exact D^jF by sympy along explicit ExpPoly directions on position_control."""
 
     @staticmethod
     def functional(sp, model, params, xstar, v, d):
-        """F(x* + d v) as a sympy expression in d, built from the model AST."""
+        """F(x* + sum d_k v_k) as sympy expressions in the d_k, built from the
+        model AST; v and d are one direction and symbol or lists of them."""
+        pairs = list(zip(v, d)) if isinstance(v, list) else [(v, d)]
 
         def hist(theta):
             return [
                 sp.Float(x, 30)
-                + d * sum(
+                + sum(d * sum(
                     _exact(c[i]) * theta**p * sp.exp(_exact(e) * theta) for c, p, e in v.terms
-                )
+                ) for v, d in pairs)
                 for i, x in enumerate(xstar)
             ]
 
@@ -264,6 +380,22 @@ class TestSymbolicOracle:
                 assert np.max(np.abs(exact.imag)) <= 1e-25 * np.max(np.abs(exact))
                 got = directional_derivative(model, params, xstar, v, j)
                 assert np.max(np.abs(got - exact.real)) <= 1e-10 * np.max(np.abs(exact))
+
+
+    def test_mixed_four_linear_form_matches_sympy(self, poscontrol_setup):
+        sp = pytest.importorskip("sympy")
+        model, params, xstar, eig = poscontrol_setup
+        q = eigenfunction(eig)
+        dirs = [q.real_part(), (q * -1j).real_part(), q.real_part(),
+                ExpPoly.exponential([0.6, -0.3 + 0.4j], 0.2 + 0.8j).real_part()]
+        d = sp.symbols("d1:5")
+        exprs = self.functional(sp, model, params, xstar, dirs, list(d))
+        for dk in d:  # d_k = 0 once differentiated in it, which keeps the expressions small
+            exprs = [sp.diff(e, dk).subs(dk, 0) for e in exprs]
+        exact = np.array([complex(e.evalf(30)) for e in exprs])
+        assert np.max(np.abs(exact.imag)) <= 1e-25 * np.max(np.abs(exact))
+        got = multilinear_form(model, params, xstar, dirs)
+        assert np.max(np.abs(got - exact.real)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def _exact(value):

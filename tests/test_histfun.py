@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sddde import ExpPoly, SdddeError, combine, poly_multiply, sup_norm
+from sddde.histfun import TermStack
 
 
 def exp_i():
@@ -162,3 +163,43 @@ class TestProperties:
         half = combine(0.5, doubled, 0.0, doubled)
         for theta in (-1.0, 0.0):
             assert np.allclose(half.eval(theta), f.eval(theta))
+
+
+class TestTermStack:
+    @given(
+        fs=st.lists(exppoly_st(dim=2, max_terms=4), min_size=1, max_size=5),
+        lo=st.floats(-12.0, -0.1),
+    )
+    @settings(max_examples=40)
+    def test_stacked_sup_norms_are_each_sup_norm(self, fs, lo):
+        # zero ExpPolys included: their norm is 0
+        fs = fs + [ExpPoly.zero(2)]
+        assert TermStack(fs).sup_norms(lo, 0.0, 61).tolist() == [sup_norm(f, lo, 0.0, 61) for f in fs]
+
+    @given(
+        fs=st.lists(exppoly_st(dim=2, max_terms=4), min_size=1, max_size=5),
+        theta=st.lists(st.floats(-3.0, 0.0), min_size=1, max_size=4),
+        shift=st.complex_numbers(max_magnitude=0.5),
+    )
+    @settings(max_examples=40)
+    def test_row_k_reads_expoly_k(self, fs, theta, shift):
+        rows = np.array([[t * (k + 1) / len(fs) + shift for t in theta] for k in range(len(fs))])
+        got = TermStack(fs).eval_rows(rows)
+        assert got.shape == (2, len(fs), len(theta))
+        # a scalar theta is -tau of a delay that reads no state, so it is real (on a
+        # complex scalar the loop would take numpy's scalar arithmetic, which may round
+        # differently)
+        scalar = TermStack(fs).eval_rows(theta[0])
+        assert scalar.shape == (2, len(fs), 1)
+        for k, f in enumerate(fs):
+            assert np.array_equal(got[:, k], eval_terms(f, rows[k]))
+            assert np.array_equal(scalar[:, k, 0], eval_terms(f, theta[0]))
+
+
+def eval_terms(f, theta):
+    """The reference term loop: f at complex theta, shape (dim,) + theta.shape."""
+    theta = np.asarray(theta, dtype=complex)
+    out = np.zeros((f.dim,) + theta.shape, dtype=complex)
+    for coef, power, exponent in f.terms:
+        out += np.multiply.outer(coef, theta**power * np.exp(exponent * theta))
+    return out
