@@ -32,6 +32,8 @@ SIMULATE = ["simulate", *SCALAR, "--par", "p=-1.6", "--t-end", "50", "--step", "
 README_RUNS = {
     "eq": ["eq", *POSCONTROL],
     "roots": ["roots", *SCALAR, "--par", "p=-1.5707963267948966"],
+    # 23 roots, past the rightmost 6, and two dropped-seed warnings
+    "roots --root-count 24": ["roots", *POSCONTROL, "--root-count", "24", "--re-cutoff", "3"],
     "hopf-nf": ["hopf-nf", *SCALAR, "--par", "p=-1.5707963", "--omega-guess", "1"],
     "fold-nf": ["fold-nf", "--model", str(ROOT / "models" / "fold_quadratic.mdl"),
                 "--par", "p=0", "--guess", "0"],

@@ -8,7 +8,10 @@ by slot. Its characteristic matrix is
 
 whose roots are the eigenvalues. Root finding seeds a Chebyshev
 pseudospectral discretization of the generator and refines all seeds in one
-batched Newton on the stacked bordered systems [Delta(lambda) q; c.q - 1] = 0.
+batched Newton on the stacked bordered systems [Delta(lambda) q; c.q - 1] = 0,
+each seed until its residual is below 1e-13 or stops falling below 1e-10 (the
+roundoff floor). A Linearization keeps its seeds and their refinements, so
+roots are computed once per linearization and seed prefix.
 
 Every critical eigenvector follows one phase convention, phase_fixed:
 its largest-magnitude component is real positive.
@@ -34,12 +37,19 @@ _NULLITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Linearization:
-    """Matrices A_j and frozen delays tau_j of the linearized problem."""
+    """Matrices A_j and frozen delays tau_j of the linearized problem.
+
+    The instance is frozen and its arrays are never written after `linearize`
+    builds them, so `characteristic_roots` keeps its root seeds here: per
+    cheb_nodes, the sorted generator eigenvalues and the refinement results of
+    the longest seed prefix refined so far. The memo takes no part in == or repr.
+    """
 
     A: tuple            # m matrices, each (n, n)
     taus: tuple         # m frozen delays, taus[0] == 0
     params: np.ndarray
     xstar: np.ndarray
+    _seeds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self):
@@ -141,7 +151,11 @@ def _nullity(mat):
 
 def _refine_roots(lin, seeds, max_iter=40):
     """Newton on [Delta(lam) q; c.q - 1] from all seeds at once, one stack of
-    bordered systems per step; a seed freezes once its residual is below 1e-13.
+    bordered systems per step. A seed freezes once its residual is below 1e-13,
+    or below _RESIDUAL_TOL and no smaller than at its previous step: Newton
+    then sits at the roundoff floor, which for |lam| >~ 10 lies above 1e-13.
+    Each seed's iterates depend on that seed alone, so a batch gives bit for
+    bit what its members give in batches of one.
 
     Returns per seed (lam, q, residual) with unit q, or its ConvergenceError.
     """
@@ -150,10 +164,13 @@ def _refine_roots(lin, seeds, max_iter=40):
     q = np.linalg.svd(char_matrix(lin, lam))[2][:, -1].conj()
     cc = q.conj()
     out, live = [None] * lam.size, np.arange(lam.size)
+    last = np.full(lam.size, np.inf)
     for _ in range(max_iter):
         D = char_matrix(lin, lam[live])
         r = np.concatenate([D @ q[live, :, None], cc[live, None] @ q[live, :, None] - 1.0], axis=1)
-        go = ~(np.max(np.abs(r), axis=(1, 2)) < 1e-13)
+        size = np.max(np.abs(r), axis=(1, 2))
+        go = ~((size < 1e-13) | ((size < _RESIDUAL_TOL) & (size >= last[live])))
+        last[live] = size
         live, D, r = live[go], D[go], r[go]
         if not live.size:
             break
@@ -198,14 +215,25 @@ def characteristic_roots(lin, count=8, re_cutoff=2.0, cheb_nodes=32):
     Returns a list of (root, multiplicity); multiplicity is the numerical
     nullity of Delta at the root. Fewer roots than requested, or dropped
     seeds, are reported as warnings.
+
+    The seeds with Re >= -re_cutoff - 0.5 are a prefix of the generator
+    eigenvalues sorted by descending real part. `lin` keeps the seeds and the
+    results of the longest prefix refined so far, so a later call refines only
+    the seeds beyond it; as refinement is per seed, every call returns what it
+    returns on a fresh linearization.
     """
     if count < 1:
         raise SdddeError("count must be >= 1")
-    seeds = generator_eigenvalues(lin, cheb_nodes)
-    seeds = seeds[np.lexsort((-seeds.imag, -seeds.real))]  # descending Re, ties by Im
+    if cheb_nodes not in lin._seeds:
+        seeds = generator_eigenvalues(lin, cheb_nodes)
+        order = np.lexsort((-seeds.imag, -seeds.real))  # descending Re, ties by Im
+        lin._seeds[cheb_nodes] = (seeds[order], [])
+    seeds, results = lin._seeds[cheb_nodes]
     seeds = seeds[: np.count_nonzero(seeds.real >= -re_cutoff - 0.5)]
+    if seeds.size > len(results):
+        results += _refine_roots(lin, seeds[len(results):])
     found = []
-    for seed, result in zip(seeds, _refine_roots(lin, seeds)):
+    for seed, result in zip(seeds, results):
         if len(found) >= 4 * count:
             break
         if isinstance(result, ConvergenceError):
@@ -395,9 +423,15 @@ def spectral_projection(lin, critical, v, radius=None):
     entire in lam and integrates to zero. A simple root keeps M_0 only, any
     other root its moments up to the first negligible one (its Jordan
     chain). A later moment with |M_k| span^k / k! > 1e-6 (1 + |M_0|) means
-    the contour encloses extra roots.
+    the contour encloses extra roots. An empty list of critical roots, or
+    one that is not finite, is refused before any root is computed.
     """
     critical = [complex(z) for z in critical]
+    if not critical:
+        raise NumericalError("spectral projection needs at least one critical root")
+    bad = [z for z in critical if not np.isfinite(z)]
+    if bad:
+        raise NumericalError(f"critical root {bad[0]:.6g} is not finite")
     if radius is None:
         others = _root_pool(lin, critical) + critical
         radii = []

@@ -34,10 +34,10 @@ def test_cli_digests_prints_one_line_per_cli_operation():
     lines = proc.stdout.splitlines()
     workloads = [line.split()[:2] for line in lines]
     assert workloads == ([["hopf_curve_l1", "0"]] + [["continuation", "0"]] * 3
-                         + [["readme", "-"]] * 9)
+                         + [["readme", "-"]] * 10)
     # the README's CLI runs whose models are bundled, after the seeded operations
     assert [" ".join(line.split()[2:-1]) for line in lines[4:]] == [
-        "eq", "roots", "hopf-nf", "fold-nf", "branch", "branch --range=-1:1",
+        "eq", "roots", "roots --root-count 24", "hopf-nf", "fold-nf", "branch", "branch --range=-1:1",
         "hopf-curve --monitor-l1", "simulate", "simulate --format csv",
     ]
     assert all(len(line.split()[-1]) == 64 for line in lines)

@@ -22,6 +22,7 @@ from sddde import (
     solve_equilibrium,
     spectral_projection,
 )
+from sddde import spectral
 from sddde.spectral import (
     Linearization,
     _boundary_data,
@@ -306,6 +307,156 @@ class TestBatchedRefinement:
         assert characteristic_roots(scalar_lin, count=2, re_cutoff=-50.0) == []
 
 
+def _refine_roots_absolute(lin, seeds, max_iter=40):
+    """The batched bordered Newton with the absolute stop test only (residual
+    below 1e-13): the oracle for the roundoff-floor stop test. It has no
+    singular-system fallback; no criterion-6 seed needs one."""
+    n = lin.n
+    lam = np.array(seeds, dtype=complex)
+    q = np.linalg.svd(char_matrix(lin, lam))[2][:, -1].conj()
+    cc = q.conj()
+    out, live = [None] * lam.size, np.arange(lam.size)
+    for _ in range(max_iter):
+        D = char_matrix(lin, lam[live])
+        r = np.concatenate([D @ q[live, :, None], cc[live, None] @ q[live, :, None] - 1.0], axis=1)
+        go = ~(np.max(np.abs(r), axis=(1, 2)) < 1e-13)
+        live, D, r = live[go], D[go], r[go]
+        if not live.size:
+            break
+        J = np.zeros((live.size, n + 1, n + 1), dtype=complex)
+        J[:, :n, :n] = D
+        J[:, :n, n:] = char_matrix_deriv(lin, lam[live]) @ q[live, :, None]
+        J[:, n, :n] = cc[live]
+        delta = np.linalg.solve(J, -r)
+        q[live] = q[live] + delta[:, :n, 0]
+        lam[live] = lam[live] + delta[:, n, 0]
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    res = np.linalg.norm(char_matrix(lin, lam) @ q[:, :, None], axis=(1, 2))
+    return [ConvergenceError(f"stalled near {lam[k]:.6g}") if res[k] > 1e-10
+            else (complex(lam[k]), q[k], float(res[k])) for k in range(lam.size)]
+
+
+class TestRoundoffFloorStop:
+    @pytest.mark.parametrize("name,setting", CRITERION6)
+    def test_same_fate_as_the_absolute_stop(self, name, setting, scalar_model, poscontrol_model):
+        lin = _equilibrium_lin(scalar_model if name == "scalar_nested" else poscontrol_model,
+                               setting)
+        seeds = generator_eigenvalues(lin)
+        for seed, got, ref in zip(seeds, _refine_roots(lin, seeds),
+                                  _refine_roots_absolute(lin, seeds)):
+            assert isinstance(got, ConvergenceError) == isinstance(ref, ConvergenceError), seed
+            if not isinstance(got, ConvergenceError):
+                assert abs(got[0] - ref[0]) <= 1e-14 * abs(ref[0])
+                assert got[2] <= 1e-10
+
+    def test_converged_seeds_stop_at_the_floor(self, scalar_model, monkeypatch):
+        lin = _equilibrium_lin(scalar_model, -1.5)
+        steps = []   # each stacked Newton step calls char_matrix_deriv once
+
+        def counted(lin, lam):
+            steps.append(np.size(lam))
+            return char_matrix_deriv(lin, lam)
+
+        monkeypatch.setattr(spectral, "char_matrix_deriv", counted)
+        characteristic_roots(lin, count=6, re_cutoff=2.0)
+        assert 0 < len(steps) <= 8   # 40 with the absolute stop alone
+
+
+class TestRootMemo:
+    SETTING = (1.0, 4.0)    # position_control: 23 roots and two dropped seeds at cutoff 3
+
+    @staticmethod
+    def _roots(lin, count, cutoff, cheb_nodes=32):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            roots = characteristic_roots(lin, count=count, re_cutoff=cutoff, cheb_nodes=cheb_nodes)
+        return np.array([z for z, _ in roots]), [k for _, k in roots], [str(w.message) for w in caught]
+
+    def _assert_fresh(self, model, lin, count, cutoff, cheb_nodes=32):
+        lams, mult, msgs = self._roots(lin, count, cutoff, cheb_nodes)
+        ref_lams, ref_mult, ref_msgs = self._roots(_equilibrium_lin(model, self.SETTING),
+                                                   count, cutoff, cheb_nodes)
+        assert np.array_equal(lams, ref_lams) and mult == ref_mult and msgs == ref_msgs
+
+    def test_calls_match_a_fresh_linearization(self, poscontrol_model):
+        lin = _equilibrium_lin(poscontrol_model, self.SETTING)
+        for count, cutoff in ((6, 1.0), (24, 3.0), (12, 2.0), (24, 3.0), (4, 0.2), (30, 4.0)):
+            self._assert_fresh(poscontrol_model, lin, count, cutoff)
+        assert any(m.startswith("dropped root seed") for m in self._roots(lin, 24, 3.0)[2])
+
+    @staticmethod
+    def _record(monkeypatch, name, lin):
+        """Seeds or cheb_nodes of every call of spectral.<name> on lin."""
+        calls, inner = [], getattr(spectral, name)
+
+        def recorded(of, arg, *rest):
+            if of is lin:
+                calls.append(arg)
+            return inner(of, arg, *rest)
+
+        monkeypatch.setattr(spectral, name, recorded)
+        return calls
+
+    def test_smaller_cutoff_does_no_root_work(self, poscontrol_model, monkeypatch):
+        lin = _equilibrium_lin(poscontrol_model, self.SETTING)
+        self._roots(lin, 24, 3.0)
+        calls = [self._record(monkeypatch, name, lin)
+                 for name in ("generator_eigenvalues", "_refine_roots")]
+        for count, cutoff in ((24, 3.0), (6, 2.0), (12, -0.5)):
+            self._assert_fresh(poscontrol_model, lin, count, cutoff)
+        assert calls == [[], []]
+
+    def test_larger_cutoff_refines_only_the_new_seeds(self, poscontrol_model, monkeypatch):
+        lin = _equilibrium_lin(poscontrol_model, self.SETTING)
+        seeds = generator_eigenvalues(lin)
+        seeds = seeds[np.lexsort((-seeds.imag, -seeds.real))]
+        refined = self._record(monkeypatch, "_refine_roots", lin)
+        for cutoff in (1.0, 3.0):
+            self._assert_fresh(poscontrol_model, lin, 24, cutoff)
+        k1, k2 = (np.count_nonzero(seeds.real >= -c - 0.5) for c in (1.0, 3.0))
+        assert 0 < k1 < k2 and len(refined) == 2
+        assert np.array_equal(refined[0], seeds[:k1]) and np.array_equal(refined[1], seeds[k1:k2])
+
+    def test_cheb_nodes_keep_separate_entries(self, poscontrol_model):
+        lin = _equilibrium_lin(poscontrol_model, self.SETTING)
+        for nodes in (32, 48, 32, 48):
+            self._assert_fresh(poscontrol_model, lin, 12, 3.0, cheb_nodes=nodes)
+        assert sorted(lin._seeds) == [32, 48]
+
+    def test_equality_and_repr_ignore_the_memo(self, poscontrol_model):
+        lin = _equilibrium_lin(poscontrol_model, self.SETTING)
+        twin = Linearization(lin.A, lin.taus, lin.params, lin.xstar)
+        text = repr(lin)
+        self._roots(lin, 24, 3.0)
+        assert lin._seeds and not twin._seeds
+        assert lin == twin and repr(lin) == repr(twin) == text
+        assert "_seeds" not in text
+
+
+class TestPrefixIndependence:
+    """characteristic_roots refines seed prefixes piecewise: refining a list
+    in two parts must give bit for bit what refining it whole gives."""
+
+    @staticmethod
+    def _assert_splits(lin, seeds):
+        whole = [_outcome(r) for r in _refine_roots(lin, seeds)]
+        for k in range(len(seeds) + 1):
+            parts = _refine_roots(lin, seeds[:k]) + _refine_roots(lin, seeds[k:])
+            assert [_outcome(r) for r in parts] == whole, k
+
+    @pytest.mark.parametrize("name,setting", [("scalar_nested", -1.7), ("position_control", (1.0, 4.0))])
+    def test_split_refinement_matches_whole(self, name, setting, scalar_model, poscontrol_model):
+        lin = _equilibrium_lin(scalar_model if name == "scalar_nested" else poscontrol_model,
+                               setting)
+        seeds = generator_eigenvalues(lin)
+        self._assert_splits(lin, seeds[np.lexsort((-seeds.imag, -seeds.real))])
+
+    def test_singular_member_splits(self):
+        lin = Linearization((np.array([[0.0]]), np.array([[-1.0]])), (0.0, 1.0),
+                            np.zeros(0), np.zeros(1))
+        self._assert_splits(lin, np.array([0.0, -0.3 + 1.3j, 0.5j]))
+
+
 class TestHopfEigendata:
     def test_scalar_values(self, scalar_lin):
         eig = hopf_eigendata(scalar_lin, 1.0)
@@ -402,6 +553,20 @@ class TestResolventProjection:
             columns.append([pv.eval(t)[0] for t in np.linspace(-2.0, 0.0, 21)])
         rank = np.linalg.matrix_rank(np.array(columns).T, tol=1e-8)
         assert rank == 2
+
+    @pytest.mark.parametrize("critical, message", [
+        ([], "needs at least one critical root"),
+        ([1j, np.nan + 1j], r"critical root nan\+1j is not finite"),
+        ([complex(np.inf, 1.0)], r"critical root inf\+1j is not finite"),
+    ])
+    def test_bad_critical_roots_are_refused(self, scalar_lin, critical, message, monkeypatch):
+        def no_root_work(*args, **kwargs):
+            raise AssertionError("root work before the refusal")
+
+        monkeypatch.setattr(spectral, "characteristic_roots", no_root_work)
+        v = ExpPoly.exponential([0.7 - 0.2j], 0.3 + 0.9j)
+        with pytest.raises(NumericalError, match=message):
+            spectral_projection(scalar_lin, critical, v)
 
     def test_oversized_contour_detected(self, scalar_lin):
         # radius large enough to also enclose the next root pair
