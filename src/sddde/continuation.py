@@ -19,7 +19,9 @@ Hopf curves are continued in two parameters through the extended real
 system {equilibrium residual; Re/Im of Delta(i w) q0; Re/Im of (c.q0 - 1)}
 with the normalization row c frozen per curve. Every Newton step takes the
 exact Jacobian of its system, built from the model's symbolic slot
-derivatives.
+derivatives. Each curve point and secant iterate builds the eigendata of
+its pair once, by spectral.hopf_pair at (x, p, i omega): that is its
+simplicity check, and with monitor_l1 it goes to hopf_l1 as its eig.
 """
 
 import itertools
@@ -40,13 +42,13 @@ from .errors import (
 )
 from .normalform import hopf_l1
 from .spectral import (
-    _nullity,
+    _null_vectors,
     char_matrix,
     char_matrix_deriv,
     characteristic_roots,
     hopf_eigendata,
+    hopf_pair,
     linearize,
-    phase_fixed,
 )
 
 _IM_TOL = 1e-8
@@ -438,7 +440,7 @@ class HopfCurvePoint:
     params: tuple          # values of the two free parameters
     x: np.ndarray
     omega: float
-    q0: np.ndarray         # phase-fixed copy
+    q0: np.ndarray         # the unit, phase-fixed q of eigentriple
     residual: float
     L1: float | None = None
     event: str | None = None
@@ -506,9 +508,7 @@ def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
     except ConvergenceError:
         pass  # the full extended solve below still gets a chance
     lin = linearize(model, pvec, x0, check_equilibrium=False)
-    D = char_matrix(lin, 1j * float(omega_guess))
-    _, _, Vh = np.linalg.svd(D)
-    q0 = Vh[-1].conj()
+    q0, _ = _null_vectors(char_matrix(lin, 1j * float(omega_guess)))
     c_row = q0.conj() / (q0.conj() @ q0)
 
     y = np.concatenate([x0, q0.real, q0.imag, [float(omega_guess), pvec[f1], pvec[f2]]])
@@ -552,28 +552,29 @@ def continue_hopf_curve(
     def params_at(y):
         return _with_param(pvec_base, [f1, f2], y[pars])
 
-    def curve_l1(y):
-        return hopf_l1(model, params_at(y), y[:n], y[3 * n], settings=deriv_settings).L1
+    def pair_at(y):
+        """EigenData of the critical pair at y; the pair must be simple."""
+        lin = linearize(model, params_at(y), y[:n], check_equilibrium=False)
+        try:
+            return hopf_pair(lin, 1j * y[3 * n])
+        except DegenerateEigenvalueError as err:
+            raise DegenerateEigenvalueError(
+                f"loss of simplicity of the critical pair along the Hopf curve: {err}"
+            ) from None
 
-    def point_at(y):
-        q = y[n : 2 * n] + 1j * y[2 * n : 3 * n]
-        point = HopfCurvePoint(
+    def curve_l1(y, eig):
+        return hopf_l1(model, params_at(y), y[:n], eig.omega, settings=deriv_settings, eig=eig).L1
+
+    def point_at(y, monitor=monitor_l1):
+        eig = pair_at(y)
+        return HopfCurvePoint(
             params=(float(y[3 * n + 1]), float(y[3 * n + 2])),
             x=y[:n].copy(),
             omega=float(y[3 * n]),
-            q0=phase_fixed(q / np.linalg.norm(q))[0],
+            q0=eig.q0,
             residual=float(np.max(np.abs(system[0](y)))),
+            L1=curve_l1(y, eig) if monitor else None,
         )
-        lin = linearize(model, params_at(y), y[:n], check_equilibrium=False)
-        if _nullity(char_matrix(lin, 1j * y[3 * n])) > 1:
-            raise DegenerateEigenvalueError(
-                "loss of simplicity of the critical pair along the Hopf curve"
-            )
-        return point
-
-    def make_point(y):
-        point = point_at(y)
-        return replace(point, L1=curve_l1(y)) if monitor_l1 else point
 
     def steps(sgn):
         """Arclength steps from the nullspace tangent of the extended system."""
@@ -588,12 +589,13 @@ def continue_hopf_curve(
 
     def l1_zero(y, l1, ends):
         if abs(l1) < min(abs(pt.L1) for pt in ends):
-            return replace(point_at(y), L1=l1, event="L1_ZERO")
+            return replace(point_at(y, monitor=False), L1=l1, event="L1_ZERO")
         where = ", ".join(f"{model.param_names[k]}={v:.8g}" for k, v in zip((f1, f2), y[pars]))
         warnings.warn(f"L1 changes sign through a pole, not a zero, at {where} "
                       f"(L1 = {l1:.6g}): no L1_ZERO reported")
         return None
 
-    tests = [_Test("L1", lambda y: (curve_l1(y),) * 2, l1_zero, pars, 1e-6)] if monitor_l1 else []
-    return _continue(system, (y0, make_point(y0)), steps, signs, step.max_points,
-                     make_point, tests, stop=DelayRangeError)
+    tests = ([_Test("L1", lambda y: (curve_l1(y, pair_at(y)),) * 2, l1_zero, pars, 1e-6)]
+             if monitor_l1 else [])
+    return _continue(system, (y0, point_at(y0)), steps, signs, step.max_points,
+                     point_at, tests, stop=DelayRangeError)

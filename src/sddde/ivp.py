@@ -50,14 +50,6 @@ class Trajectory:
             raise SdddeError(f"time {time:.6g} is beyond the trajectory end {self.t[-1]:.6g}")
         return np.array(_interpolate(self.y, self.yp, self.step, time))
 
-    def tail_history(self, at_time):
-        """History callable u_{at_time}(theta) for restarting a simulation."""
-
-        def hist(theta):
-            return self(at_time + theta)
-
-        return hist
-
 
 def _interpolate(y, yp, h, time):
     """Cubic Hermite value at time from nodes k*h with values y and slopes yp."""

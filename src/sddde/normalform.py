@@ -28,15 +28,8 @@ import numpy as np
 from .derivs import DerivSettings, check_consistency, multilinear_form, multilinear_forms
 from .errors import DegenerateEigenvalueError, ResonanceError
 from .histfun import ExpPoly
-from .spectral import (
-    EigenData,
-    char_matrix,
-    char_matrix_deriv,
-    eigenfunction,
-    hopf_eigendata,
-    linearize,
-    phase_fixed,
-)
+from .spectral import (EigenData, char_matrix, char_matrix_deriv, eigenfunction, eigentriple,
+                       hopf_eigendata, linearize, phase_fixed)
 
 _DEGENERACY_TOL = 1e-8
 _SINGULAR_TOL = 1e-10
@@ -59,20 +52,16 @@ def _solve_regular(mat, rhs, what):
     return np.linalg.solve(mat, rhs)
 
 
-def hopf_h2(model, params, xstar, eig, settings=None, lin=None, forms=None):
+def hopf_h2(model, params, xstar, eig, settings=None, lin=None):
     """Order-2 center-manifold coefficients (h2_20, h2_11) as ExpPoly.
 
-    h2_11 is constant, h2_20 a pure exp(2 i w theta) term. forms, if given,
-    holds precomputed "f2qq" = F2(q, q) and "f2qqbar" = F2(q, qbar), else
-    both come from one multilinear_forms stack. Raises ResonanceError when
-    Delta(0) (fold-Hopf) or Delta(2 i w) (1:2 resonance) is singular.
+    h2_11 is constant, h2_20 a pure exp(2 i w theta) term; F2(q, q) and
+    F2(q, qbar) come from one multilinear_forms stack. Raises ResonanceError
+    when Delta(0) (fold-Hopf) or Delta(2 i w) (1:2 resonance) is singular.
     """
     lin = lin or linearize(model, params, xstar)
-    if forms is None:
-        q = eigenfunction(eig)
-        forms = dict(zip(("f2qq", "f2qqbar"), multilinear_forms(
-            model, params, xstar, [[q, q], [q, q.conjugate()]], settings)))
-    f2qq, f2qqbar = forms["f2qq"], forms["f2qqbar"]
+    q = eigenfunction(eig)
+    f2qq, f2qqbar = multilinear_forms(model, params, xstar, [[q, q], [q, q.conjugate()]], settings)
     h20_coef = _solve_regular(
         char_matrix(lin, 2j * eig.omega), f2qq,
         "resonant Hopf: 1:2 resonance, Delta(2 i w) singular",
@@ -133,8 +122,8 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None):
 def fold_coefficient(model, params, xstar, settings=None):
     """Quadratic coefficient a of the fold normal form at a simple zero root.
 
-    a = p0 F2(q, q) / 2 with p0 Delta'(0) q0 = 1; the fold is
-    non-degenerate iff a != 0.
+    a = p0 F2(q, q) / 2 with (q0, p0) the eigentriple of the zero root,
+    p0 Delta'(0) q0 = 1; the fold is non-degenerate iff a != 0.
     """
     params = np.asarray(params, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
@@ -148,16 +137,7 @@ def fold_coefficient(model, params, xstar, settings=None):
         )
     if lin.n > 1 and s[-2] < 1e-6 * top:
         raise DegenerateEigenvalueError("zero root is not simple")
-    U, _, Vh = np.linalg.svd(D0)
-    q0 = Vh[-1]
-    p0 = U[:, -1]
-    q0, _ = phase_fixed(q0)
-    scale = p0 @ char_matrix_deriv(lin, 0.0).real @ q0
-    if abs(scale) < 1e-8:
-        raise DegenerateEigenvalueError(
-            "zero root is not simple: |p0 Delta'(0) q0| ~ 0 before scaling"
-        )
-    p0 = p0 / scale
+    q0, p0 = eigentriple(D0, char_matrix_deriv(lin, 0.0).real)
     q = ExpPoly.constant(q0)
     f2qq = multilinear_form(model, params, xstar, [q, q], settings)
     return float(0.5 * (p0 @ f2qq.real))

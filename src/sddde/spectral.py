@@ -13,8 +13,12 @@ each seed until its residual is below 1e-13 or stops falling below 1e-10 (the
 roundoff floor). A Linearization keeps its seeds and their refinements, so
 roots are computed once per linearization and seed prefix.
 
-Every critical eigenvector follows one phase convention, phase_fixed:
-its largest-magnitude component is real positive.
+One simple-root rule: eigentriple alone decides whether lam is a simple
+root, from one SVD of Delta(lam) that gives (q, p) with p Delta'(lam) q = 1;
+it refuses nullity above 1 and |p Delta' q| < 1e-8 for unit null vectors (a
+Jordan chain). Hopf and fold normal forms, Hopf-curve points and
+the spectral projection all use it. Every critical eigenvector follows one
+phase convention, phase_fixed: its largest-magnitude component is real positive.
 
 The resolvent acts in closed form on ExpPoly data. The spectral projection
 P_c, from contour moments, maps an ExpPoly to theta^k exp(z theta) terms,
@@ -35,21 +39,22 @@ _RESIDUAL_TOL = 1e-10
 _NULLITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Linearization:
     """Matrices A_j and frozen delays tau_j of the linearized problem.
 
     The instance is frozen and its arrays are never written after `linearize`
     builds them, so `characteristic_roots` keeps its root seeds here: per
     cheb_nodes, the sorted generator eigenvalues and the refinement results of
-    the longest seed prefix refined so far. The memo takes no part in == or repr.
+    the longest seed prefix refined so far. Equality and hashing are by
+    identity; the memo takes no part in repr.
     """
 
     A: tuple            # m matrices, each (n, n)
     taus: tuple         # m frozen delays, taus[0] == 0
     params: np.ndarray
     xstar: np.ndarray
-    _seeds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _seeds: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self):
@@ -288,26 +293,30 @@ def phase_fixed(v):
     return v / phase, phase
 
 
-def hopf_eigendata(lin, omega_guess):
-    """Locate the simple root near i*omega_guess and build normalized data."""
-    lam, _, _ = refine_root(lin, 1j * float(omega_guess))
-    if lam.imag < 0:
-        lam = lam.conjugate()
-    omega = lam.imag
-    if omega <= 0:
+def eigentriple(D, dD):
+    """(q, p) of the simple root lam of D = Delta(lam), dD = Delta'(lam), from
+    one SVD of D: q phase_fixed, p dD q = 1. Refuses nullity above 1, or
+    |p dD q| < 1e-8 for the unit null vectors, with DegenerateEigenvalueError."""
+    U, s, Vh = np.linalg.svd(D)
+    nullity = np.sum(s < _NULLITY_TOL * max(s[0], 1.0))  # the rule of _nullity
+    if nullity > 1:
+        raise DegenerateEigenvalueError(f"root is not simple: Delta has nullity {nullity}")
+    q, p = Vh[-1].conj(), U[:, -1].conj()
+    scale = p @ dD @ q
+    if abs(scale) < _NULLITY_TOL:
         raise DegenerateEigenvalueError(
-            f"no oscillatory root near i*{omega_guess:.6g}; found {lam:.6g}"
+            f"non-semisimple or degenerate root: |p Delta' q| = {abs(scale):.2e} before scaling"
         )
+    q, _ = phase_fixed(q)
+    return q, p / (p @ dD @ q)
+
+
+def hopf_pair(lin, lam):
+    """EigenData of the simple pair +-i w, w = |Im lam|, from eigentriple at
+    i w; its "real_part" residual is |Re lam|."""
+    omega = abs(lam.imag)
     D, dD = char_matrix(lin, 1j * omega), char_matrix_deriv(lin, 1j * omega)
-    q0, p0 = _null_vectors(D)
-    scale = p0 @ dD @ q0
-    if abs(scale) < 1e-8:
-        raise DegenerateEigenvalueError(
-            "non-semisimple or degenerate critical eigenvalue: "
-            f"|p0 Delta'(i w) q0| = {abs(scale):.2e} before scaling"
-        )
-    q0, _ = phase_fixed(q0)
-    p0 = p0 / (p0 @ dD @ q0)
+    q0, p0 = eigentriple(D, dD)
     residuals = {
         "right": float(np.linalg.norm(D @ q0)),
         "left": float(np.linalg.norm(p0 @ D)),
@@ -315,6 +324,16 @@ def hopf_eigendata(lin, omega_guess):
         "normalization": abs(p0 @ dD @ q0 - 1.0),
     }
     return EigenData(omega=float(omega), q0=q0, p0=p0, residuals=residuals)
+
+
+def hopf_eigendata(lin, omega_guess):
+    """Refine the root near i*omega_guess, then hopf_pair at it."""
+    lam, _, _ = refine_root(lin, 1j * float(omega_guess))
+    if lam.imag == 0:
+        raise DegenerateEigenvalueError(
+            f"no oscillatory root near i*{omega_guess:.6g}; found {lam:.6g}"
+        )
+    return hopf_pair(lin, lam)
 
 
 def eigenfunction(eig):
@@ -450,10 +469,11 @@ def spectral_projection(lin, critical, v, radius=None):
         moments = [np.mean(offsets[:, None] ** (k + 1) * x0, axis=0) for k in range(_MOMENTS)]
         sizes = [np.max(np.abs(mk)) * span**k / factorial(k) for k, mk in enumerate(moments)]
         tol = _MOMENT_TOL * (1.0 + sizes[0])
-        D = char_matrix(lin, z)
-        q, p = _null_vectors(D)
-        simple = _nullity(D) == 1 and abs(p @ char_matrix_deriv(lin, z) @ q) > _NULLITY_TOL
-        keep = 1 if simple else next((k for k in range(1, _MOMENTS) if sizes[k] <= tol), _MOMENTS)
+        try:
+            eigentriple(char_matrix(lin, z), char_matrix_deriv(lin, z))
+            keep = 1  # a simple root: M_0 only
+        except DegenerateEigenvalueError:  # any other root: its Jordan chain
+            keep = next((k for k in range(1, _MOMENTS) if sizes[k] <= tol), _MOMENTS)
         late = max(sizes[keep:], default=sizes[-1])
         if late > tol:
             raise NumericalError(f"a contour moment around {z:.6g} does not vanish ({late:.2e}); "

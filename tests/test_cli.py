@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sddde import hopf_l1, load_model
 from sddde.cli import run
 
 from conftest import model_path
@@ -140,6 +141,24 @@ class TestSubcommands:
         assert code == 0, err
         zeros = [r for r in records(out) if r["kind"] == "event" and r["event"] == "L1_ZERO"]
         assert len(zeros) == 2
+
+    def test_readme_curve_l1_matches_a_fresh_hopf_l1(self, capsys):
+        # each point hands its own eigendata to hopf_l1; a fresh hopf_l1 refines the
+        # root again and must give the same L1 (17 printed digits round-trip)
+        code, out, err = invoke(
+            capsys,
+            ["hopf-curve", "--model", POSCONTROL, "--par", "tau0=1,s0=4,k=1,c=2,gamma=1",
+             "--free", "tau0,s0", "--omega-guess", "0.52", "--guess", "4,4", "--monitor-l1"],
+        )
+        assert code == 0, err
+        model = load_model(POSCONTROL)
+        recs = [r for r in records(out) if r["kind"] in ("point", "event")]
+        assert len(recs) > 30
+        for rec in recs:
+            params = model.params_from({"tau0": rec["tau0"], "s0": rec["s0"], "k": 1, "c": 2,
+                                        "gamma": 1})
+            fresh = hopf_l1(model, params, np.array(rec["x"]), rec["omega"])
+            assert abs(fresh.L1 - rec["L1"]) <= 1e-10
 
     def test_l1_pole_at_fold_hopf_is_a_warning(self, capsys, tmp_path):
         # on b = c the real mode x2 has a zero root, so h11 and with it L1 diverge: L1

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import sddde.continuation
+import sddde.spectral
 from sddde import (
     ConvergenceError,
     DerivSettings,
@@ -18,6 +19,7 @@ from sddde import (
     parse_model,
     solve_equilibrium,
 )
+from sddde.spectral import refine_root
 
 PI_2 = np.pi / 2
 
@@ -263,6 +265,32 @@ class TestHopfCurve:
         # the event reuses the secant's L1 instead of computing it again
         i, j = (poscontrol_model.param_names.index(name) for name in ("tau0", "s0"))
         assert sum(1 for p, _ in calls if (p[i], p[j]) == event.params) == 1
+
+    def test_curve_points_hand_their_eigendata_to_hopf_l1(self, poscontrol_model, monkeypatch):
+        # every point and secant iterate builds its eigendata once, at its own
+        # (x, p, i omega), and no root is refined again
+        refined, given = [], []
+
+        def refine(*args, **kwargs):
+            refined.append(args)
+            return refine_root(*args, **kwargs)
+
+        def recording(model, params, xstar, omega_guess, settings=None, eig=None):
+            given.append((omega_guess, eig))
+            return hopf_l1(model, params, xstar, omega_guess, settings=settings, eig=eig)
+
+        monkeypatch.setattr(sddde.spectral, "refine_root", refine)
+        monkeypatch.setattr(sddde.continuation, "hopf_l1", recording)
+        asg = {"tau0": 1.03, "s0": 5.8, "k": 1.0, "c": 2.0, "gamma": 1.0}
+        pts = continue_hopf_curve(
+            poscontrol_model, asg, ("tau0", "s0"), np.array([5.8, 5.8]),
+            omega_guess=np.pi / (2 * 1.03 + 5.8),
+            step=StepSettings(initial=0.25, max_points=2, max_step=0.4), monitor_l1=True,
+        )
+        assert refined == [] and len(given) > len(pts)
+        assert all(eig is not None and eig.omega == omega for omega, eig in given)
+        for pt in pts:  # the point's q0 is the q of its eigendata
+            assert any(np.array_equal(eig.q0, pt.q0) for omega, eig in given if omega == pt.omega)
 
     def test_l1_zero_secant_is_illinois(self, poscontrol_model, monkeypatch):
         # the hopf_curve_l1 benchmark workload's seed-0 curve, where a one-sided

@@ -12,14 +12,12 @@ from sddde import (
     char_matrix_deriv,
     eigenfunction,
     fold_coefficient,
-    hopf_h2,
     hopf_l1,
     linearize,
     multilinear_form,
     parse_model,
 )
 from sddde.model import Model
-from sddde.spectral import Linearization
 
 PI_2 = np.pi / 2
 
@@ -62,27 +60,18 @@ class TestHopfH2:
         assert np.max(np.abs(char_matrix(lin, 0.0) @ h11 - 2 * f2qqb)) < 1e-10
 
     def test_fold_hopf_resonance_error(self):
-        # Delta(0) singular: decoupled zero root next to the rotation block
-        A1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        lin = Linearization((A1,), (0.0,), np.zeros(0), np.zeros(3))
-        eig = EigenData(
-            omega=1.0,
-            q0=np.array([0, 1.0, -1j]) / np.sqrt(2),
-            p0=np.array([0, 1.0, 1j]) / np.sqrt(2),
-        )
+        # Delta(0) singular: a decoupled zero mode beside the rotation at +-i
+        m = parse_model('name="zh"\ndim=3\nparameters=[]\ndelays=["0"]\n'
+                        'rhs=["x1@1^2", "-x3@1", "x2@1 + x1@1*x2@1"]\n')
         with pytest.raises(ResonanceError, match="Delta\\(0\\) singular"):
-            hopf_h2(None, None, None, eig, lin=lin, forms={
-                "f2qq": np.zeros(3, complex), "f2qqbar": np.zeros(3, complex)})
+            hopf_l1(m, [], np.zeros(3), 1.0)
 
     def test_one_two_resonance_error(self):
-        # rotation with eigenvalues +-2i makes Delta(2i) singular for omega = 1
-        A1 = np.array([[0.0, -2.0], [2.0, 0.0]])
-        lin = Linearization((A1,), (0.0,), np.zeros(0), np.zeros(2))
-        eig = EigenData(omega=1.0, q0=np.array([1.0, -1j]) / np.sqrt(2),
-                        p0=np.array([1.0, 1j]) / np.sqrt(2))
+        # rotations at +-i and +-2i: Delta(2i) is singular for omega = 1
+        m = parse_model('name="r12"\ndim=4\nparameters=[]\ndelays=["0"]\n'
+                        'rhs=["-x2@1 + x1@1*x3@1", "x1@1", "-2*x4@1", "2*x3@1"]\n')
         with pytest.raises(ResonanceError, match="1:2 resonance"):
-            hopf_h2(None, None, None, eig, lin=lin, forms={
-                "f2qq": np.zeros(2, complex), "f2qqbar": np.zeros(2, complex)})
+            hopf_l1(m, [], np.zeros(4), 1.0)
 
 
 class TestHopfL1:
@@ -181,6 +170,13 @@ class TestFold:
         m = parse_model('name="z"\ndim=1\nparameters=[]\ndelays=["0"]\nrhs=["0 * x1@1"]\n')
         a = fold_coefficient(m, [], [0.0])
         assert a == pytest.approx(0.0, abs=1e-10)
+
+    def test_double_zero_root_refused(self):
+        # Delta(lam) = lam - 1 + exp(-lam): Delta(0) = Delta'(0) = 0, a Jordan chain
+        m = parse_model('name="bt"\ndim=1\nparameters=[]\ndelays=["0", "1"]\n'
+                        'rhs=["x1@1 - x1@2 + x1@1^2"]\n')
+        with pytest.raises(DegenerateEigenvalueError, match="non-semisimple"):
+            fold_coefficient(m, [], [0.0])
 
     def test_no_zero_root_error(self, poscontrol_model, poscontrol_ref):
         params = poscontrol_model.params_from(poscontrol_ref)

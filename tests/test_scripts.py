@@ -21,13 +21,6 @@ def test_scalar_hopf_demo_reports_subcritical():
     assert "subcritical" in proc.stdout
 
 
-def test_hopf_curve_l1_scan_finds_the_l1_zero():
-    proc = run_script("hopf_curve_l1_scan.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("tau0,s0,omega,L1,event\n")
-    assert ",L1_ZERO\n" in proc.stdout
-
-
 def test_cli_digests_prints_one_line_per_cli_operation():
     proc = run_script("cli_digests.py", "--seeds", "0")
     assert proc.returncode == 0, proc.stderr

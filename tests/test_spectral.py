@@ -28,6 +28,7 @@ from sddde.spectral import (
     _boundary_data,
     _refine_roots,
     adjoint_coordinate,
+    eigentriple,
     exp_integral,
     generator_eigenvalues,
     refine_root,
@@ -423,14 +424,21 @@ class TestRootMemo:
             self._assert_fresh(poscontrol_model, lin, 12, 3.0, cheb_nodes=nodes)
         assert sorted(lin._seeds) == [32, 48]
 
-    def test_equality_and_repr_ignore_the_memo(self, poscontrol_model):
+    def test_equality_is_identity_and_repr_ignores_the_memo(self, poscontrol_model):
+        # built separately, so no array is shared: == compares no arrays and
+        # hash() works, and neither touches the memo
         lin = _equilibrium_lin(poscontrol_model, self.SETTING)
-        twin = Linearization(lin.A, lin.taus, lin.params, lin.xstar)
+        twin = _equilibrium_lin(poscontrol_model, self.SETTING)
+        shared = Linearization(lin.A, lin.taus, lin.params, lin.xstar)
         text = repr(lin)
         self._roots(lin, 24, 3.0)
-        assert lin._seeds and not twin._seeds
-        assert lin == twin and repr(lin) == repr(twin) == text
+        assert lin._seeds and not twin._seeds and not shared._seeds
+        assert lin == lin and lin != twin and lin != shared
+        assert len({lin, twin, shared, lin}) == 3 and hash(lin) == hash(lin)
+        assert repr(lin) == repr(twin) == repr(shared) == text
         assert "_seeds" not in text
+        self._assert_fresh(poscontrol_model, lin, 24, 3.0)
+        assert not twin._seeds
 
 
 class TestPrefixIndependence:
@@ -482,6 +490,25 @@ class TestHopfEigendata:
         lin = Linearization((C,), (0.0,), np.zeros(0), np.zeros(4))
         with pytest.raises(DegenerateEigenvalueError, match="non-semisimple"):
             hopf_eigendata(lin, 1.0)
+
+    def test_semisimple_double_pair_rejected(self):
+        # diag(R, R) with R the rotation by +-i: nullity 2 at i, and any unit vector
+        # of the eigenspace would pass the |p Delta' q| test alone
+        R = np.array([[0.0, -1.0], [1.0, 0.0]])
+        A = np.block([[R, np.zeros((2, 2))], [np.zeros((2, 2)), R]])
+        lin = Linearization((A,), (0.0,), np.zeros(0), np.zeros(4))
+        with pytest.raises(DegenerateEigenvalueError, match="not simple: Delta has nullity 2"):
+            hopf_eigendata(lin, 1.0)
+        with pytest.raises(DegenerateEigenvalueError, match="nullity 2"):
+            eigentriple(char_matrix(lin, 1j), char_matrix_deriv(lin, 1j))
+
+    def test_eigendata_is_the_eigentriple_of_the_refined_root(self, poscontrol_model,
+                                                               poscontrol_ref):
+        lin = linearize(poscontrol_model, poscontrol_model.params_from(poscontrol_ref), [4.0, 4.0])
+        eig = hopf_eigendata(lin, 0.5)
+        q, p = eigentriple(char_matrix(lin, eig.lam), char_matrix_deriv(lin, eig.lam))
+        assert np.array_equal(q, eig.q0) and np.array_equal(p, eig.p0)
+        assert eig.residuals["real_part"] == abs(refine_root(lin, 0.5j)[0].real)
 
 
 class TestResolventProjection:
