@@ -6,8 +6,12 @@ Builds the operations of ``hopf_curve_l1`` and ``continuation`` from
 bundled models, runs each one in-process against this checkout's ``src``,
 and prints one ``workload seed op sha256`` line per operation (workload
 ``readme``, seed ``-`` for the fixed README runs); the digest covers the
-exit code, stdout and stderr. Running it in two checkouts and diffing the
-outputs shows whether their CLI output is byte-identical.
+exit code, stdout and stderr. Then it prints one ``compiled model function
+sha256`` line per function generated for each bundled model: f, the delays,
+the float and the complex-node functional, and the slot derivatives of
+orders 1 and 2; that digest covers the argument list and body lines the
+model compiles. Running it in two checkouts and diffing the outputs shows
+whether their CLI output and their generated code are byte-identical.
 
     python3 scripts/cli_digests.py --seeds 0-3
 """
@@ -20,7 +24,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import sddde.model  # noqa: E402
 import workloads  # noqa: E402
+from sddde import NumericalError  # noqa: E402
 
 WORKLOADS = ("hopf_curve_l1", "continuation")
 
@@ -47,8 +53,35 @@ README_RUNS = {
 }
 
 
+# the functions a model generates, in the order a load and frozen_derivatives of
+# orders 1 and 2 compile them
+COMPILED = ("f", "delays", "functional", "functional_nodes", "derivs1", "derivs2")
+
+
 def digest(res):
     return hashlib.sha256(f"{res.code}\n{res.out}\n{res.err}".encode()).hexdigest()
+
+
+def compiled_digests(path):
+    """{function: sha256 of its generated argument list and body} for the model file at path."""
+    sources, compile_ = [], sddde.model._compile
+
+    def capture(args, body):
+        sources.append("\n".join([args, *body]))
+        return compile_(args, body)
+
+    sddde.model._compile = capture
+    try:
+        model = sddde.model.load_model(path)
+        for order in (1, 2):
+            try:  # compiled on first use; the values at this point do not matter
+                model.frozen_derivatives([1.0] * model.n_p, [1.0] * model.n, order)
+            except NumericalError:
+                pass
+    finally:
+        sddde.model._compile = compile_
+    assert len(sources) == len(COMPILED), f"{path.name}: {len(sources)} generated functions"
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in zip(COMPILED, sources)}
 
 
 def parse_seeds(text):
@@ -69,6 +102,9 @@ def main(argv=None):
                 print(f"{name} {seed} {op.name} {digest(op.run())}", flush=True)
     for name, argv in README_RUNS.items():
         print(f"readme - {name} {digest(workloads.run_cli(argv))}", flush=True)
+    for path in sorted((ROOT / "models").glob("*.mdl")):
+        for name, sha in compiled_digests(path).items():
+            print(f"compiled {path.stem} {name} {sha}", flush=True)
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ Hopf curves are continued in two parameters through the extended real
 system {equilibrium residual; Re/Im of Delta(i w) q0; Re/Im of (c.q0 - 1)}
 with the normalization row c frozen per curve. Every Newton step takes the
 exact Jacobian of its system, built from the model's symbolic slot
-derivatives. Each curve point and secant iterate builds the eigendata of
-its pair once, by spectral.hopf_pair at (x, p, i omega): that is its
-simplicity check, and with monitor_l1 it goes to hopf_l1 as its eig.
+derivatives. Each curve point and secant iterate linearizes once and builds
+the eigendata of its pair once, by spectral.hopf_pair at (x, p, i omega):
+that is its simplicity check, and with monitor_l1 both go to hopf_l1 as its
+lin and eig.
 """
 
 import itertools
@@ -553,27 +554,28 @@ def continue_hopf_curve(
         return _with_param(pvec_base, [f1, f2], y[pars])
 
     def pair_at(y):
-        """EigenData of the critical pair at y; the pair must be simple."""
+        """Linearization at y and EigenData of its critical pair, which must be simple."""
         lin = linearize(model, params_at(y), y[:n], check_equilibrium=False)
         try:
-            return hopf_pair(lin, 1j * y[3 * n])
+            return lin, hopf_pair(lin, 1j * y[3 * n])
         except DegenerateEigenvalueError as err:
             raise DegenerateEigenvalueError(
                 f"loss of simplicity of the critical pair along the Hopf curve: {err}"
             ) from None
 
-    def curve_l1(y, eig):
-        return hopf_l1(model, params_at(y), y[:n], eig.omega, settings=deriv_settings, eig=eig).L1
+    def curve_l1(y, lin, eig):
+        return hopf_l1(model, params_at(y), y[:n], eig.omega, settings=deriv_settings, eig=eig,
+                       lin=lin).L1
 
     def point_at(y, monitor=monitor_l1):
-        eig = pair_at(y)
+        lin, eig = pair_at(y)
         return HopfCurvePoint(
             params=(float(y[3 * n + 1]), float(y[3 * n + 2])),
             x=y[:n].copy(),
             omega=float(y[3 * n]),
             q0=eig.q0,
             residual=float(np.max(np.abs(system[0](y)))),
-            L1=curve_l1(y, eig) if monitor else None,
+            L1=curve_l1(y, lin, eig) if monitor else None,
         )
 
     def steps(sgn):
@@ -595,7 +597,7 @@ def continue_hopf_curve(
                       f"(L1 = {l1:.6g}): no L1_ZERO reported")
         return None
 
-    tests = ([_Test("L1", lambda y: (curve_l1(y, pair_at(y)),) * 2, l1_zero, pars, 1e-6)]
+    tests = ([_Test("L1", lambda y: (curve_l1(y, *pair_at(y)),) * 2, l1_zero, pars, 1e-6)]
              if monitor_l1 else [])
     return _continue(system, (y0, point_at(y0)), steps, signs, step.max_points,
                      point_at, tests, stop=DelayRangeError)

@@ -20,7 +20,6 @@ import ast
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,11 @@ from .histfun import TermStack
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tan", "atan")
 
 _TAU_MAX_MARGIN = 1.25  # auto tau_max = margin * max frozen delay
+# Deepest expression tree, in operator levels, and deepest parenthesis or call
+# nesting an expression may have. Orders 1 and 2 of every operator and
+# function chained this deep compile; a division chain nested a few levels
+# deeper makes its second derivatives nest beyond Python's 200 parentheses.
+MAX_NESTING = 32
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +82,52 @@ class Call:
     arg: object
 
 
+_CHILD_FIELDS = {Num: (), Param: (), State: (), Neg: ("arg",), Pow: ("base",),
+                 Bin: ("left", "right"), Call: ("arg",)}
+
+
+def _children(node):
+    """The AST nodes among node's fields, in field order."""
+    return [getattr(node, field) for field in _CHILD_FIELDS[type(node)]]
+
+
+class _Dag:
+    """Hash-consed ASTs: one node per distinct (type, fields), children keyed
+    by identity (Filliatre & Conchon, ML Workshop 2006).
+
+    Equal subexpressions of the table are one object, so they hash and
+    compare in O(1) by id. A Num is keyed by its value, so 0.0 and -0.0 are
+    one node, as they are equal ASTs; the parser builds no -0.0. A table
+    lives for one compile only; its nodes stay alive with it, which keeps
+    their ids unique.
+    """
+
+    def __init__(self):
+        self._nodes = {}  # (type, fields with each child as its id) -> node
+        self._interned = {}  # id of a table node, or of a node given to intern -> table node
+        self._given = []  # the nodes given to intern, kept alive so that their ids stay theirs
+
+    def make(self, cls, *fields):
+        """The table's cls(*fields); the children among fields must be table nodes."""
+        key = (cls, *[id(f) if type(f) in _CHILD_FIELDS else f for f in fields])
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = cls(*fields)
+            self._interned[id(node)] = node
+        return node
+
+    def intern(self, node):
+        """The table node equal to node, an AST built anywhere; each object is visited once."""
+        got = self._interned.get(id(node))
+        if got is None:
+            fields = [getattr(node, name) for name in node.__dataclass_fields__]
+            got = self.make(type(node), *(
+                self.intern(f) if type(f) in _CHILD_FIELDS else f for f in fields))
+            self._interned[id(node)] = got
+            self._given.append(node)
+        return got
+
+
 # ---------------------------------------------------------------------------
 # tokenizer
 
@@ -116,6 +166,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.param_index = param_index
+        self.level = 0  # open parentheses and calls
 
     def peek(self):
         return self.toks[self.i]
@@ -182,12 +233,21 @@ class _Parser:
             raise ModelError(f"exponent must be an integer literal, found {val!r}", col=col)
         return sign * int(val)
 
+    def nested(self, col):
+        """expr() inside one more parenthesis or call, refused beyond MAX_NESTING."""
+        if self.level == MAX_NESTING:
+            raise ModelError(f"expression nests deeper than {MAX_NESTING} levels", col=col)
+        self.level += 1
+        node = self.expr()
+        self.level -= 1
+        return node
+
     def base(self):
         kind, val, col = self.next()
         if kind == "num":
             return Num(float(val))
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.nested(col)
             self.expect_op(")")
             return node
         if kind == "ident":
@@ -205,7 +265,7 @@ class _Parser:
                 return State(int(m.group(1)), int(sv))
             if val in FUNCTIONS:
                 self.expect_op("(")
-                node = self.expr()
+                node = self.nested(col)
                 self.expect_op(")")
                 return Call(val, node)
             if val in self.param_index:
@@ -215,10 +275,12 @@ class _Parser:
 
 
 def parse_expr(text, param_names, n, m, max_slot=None, where=""):
-    """Parse one expression and validate its state references.
+    """Parse one expression and validate its state references and depth.
 
     max_slot limits the highest slot a state reference may use (delay
-    expressions see only earlier slots).
+    expressions see only earlier slots). A tree deeper than MAX_NESTING
+    operator levels, a flat sum of more than MAX_NESTING + 1 terms included,
+    raises ModelError.
     """
     param_index = {name: k for k, name in enumerate(param_names)}
     try:
@@ -226,7 +288,9 @@ def parse_expr(text, param_names, n, m, max_slot=None, where=""):
     except ModelError as err:
         raise ModelError(f"{where}{err}") from None
     limit = m if max_slot is None else max_slot
-    for ref in _walk(node):
+    for ref, depth in _walk(node):
+        if depth > MAX_NESTING:
+            raise ModelError(f"{where}expression nests deeper than {MAX_NESTING} levels")
         if isinstance(ref, State):
             if not (1 <= ref.comp <= n):
                 raise ModelError(f"{where}unknown component x{ref.comp} (dim is {n})")
@@ -241,11 +305,12 @@ def parse_expr(text, param_names, n, m, max_slot=None, where=""):
 
 
 def _walk(node):
-    yield node
-    for field in getattr(node, "__dataclass_fields__", ()):
-        child = getattr(node, field)
-        if hasattr(child, "__dataclass_fields__"):
-            yield from _walk(child)
+    """(subexpression, operator levels above it) in pre-order, without recursion."""
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack += [(child, depth + 1) for child in reversed(_children(node))]
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +364,11 @@ _ZERO = Num(0.0)
 def _emit(node, funcs=_MATH_FUNCS, names=None):
     """Python source of one expression: P[k] for parameter k, x<i>_<j> for x<i>@<j>.
 
-    names maps subexpressions already bound to a local to that local's name.
+    names maps the ids of the interned subexpressions already bound to a local
+    to that local's name.
     """
-    if names and node in names:
-        return names[node]
+    if names and id(node) in names:
+        return names[id(node)]
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Param):
@@ -334,30 +400,62 @@ def _compile(args, body):
     return namespace["f"]
 
 
-def _compile_frozen(blocks):
-    """Evaluator (X, P) -> one array per (shape, entry) block; entry(*index) is an element's AST.
+def _postorder(node, counts, order):
+    """Append to order node and its descendants whose ids counts lacks, children first, right
+    to left, and count each 0 occurrences."""
+    if id(node) not in counts:
+        counts[id(node)] = 0
+        for child in reversed(_children(node)):
+            _postorder(child, counts, order)
+        order.append(node)
+
+
+def _frozen_source(blocks, dag=None):
+    """(body, shapes) of an evaluator (X, P) -> one array per (shape, entry) block, entry(*index)
+    an element's AST, for _compile_frozen.
 
     X is the (n, m) slot matrix. Zero elements, a folded -0.0 included, are
     emitted as the literal 0.0; a subexpression used more than once is
-    bound to a local.
+    bound to a local. The elements are interned in dag, the table they were
+    built in, or else in a new one; either lives until the source is
+    generated, not through its compile. The pass over them is linear in
+    their distinct nodes: a right-to-left post-order DFS over the reversed
+    elements that skips visited nodes orders them children first,
+    occurrence counts (2 meaning 2 or more) flow from parents to children
+    in the reverse of that order, and the locals are bound in that order,
+    the first-encounter order of the reversed pre-order walk of every
+    element.
     """
-    exprs = [entry(*index) for shape, entry in blocks
+    dag = dag or _Dag()
+    exprs = [dag.intern(entry(*index)) for shape, entry in blocks
              for index in itertools.product(*map(range, shape))]
-    walked = [sub for e in exprs for sub in _walk(e)]
-    body = [f"x{c}_{s} = X[{c - 1}][{s - 1}]" for c, s in sorted({(r.comp, r.slot) for r in walked
-                                                                  if isinstance(r, State)})]
-    counts, names = Counter(walked), {}
-    for sub in reversed(walked):  # descendants first; a subexpression used twice becomes a local
-        if counts[sub] > 1 and isinstance(sub, (Bin, Call, Pow)) and sub not in names:
+    order, counts = [], {}
+    for e in reversed(exprs):
+        _postorder(e, counts, order)
+    for e in exprs:
+        counts[id(e)] += 1
+    for sub in reversed(order):  # every parent before its children
+        for child in _children(sub):
+            counts[id(child)] = min(2, counts[id(child)] + counts[id(sub)])
+    body = [f"x{c}_{s} = X[{c - 1}][{s - 1}]"
+            for c, s in sorted((r.comp, r.slot) for r in order if isinstance(r, State))]
+    names = {}
+    for sub in order:  # descendants first; a subexpression used twice becomes a local
+        if counts[id(sub)] > 1 and isinstance(sub, (Bin, Call, Pow)):
             body.append(f"t{len(names)} = {_emit(sub, names=names)}")
-            names[sub] = f"t{len(names)}"
+            names[id(sub)] = f"t{len(names)}"
     values = ", ".join("0.0" if e == _ZERO else _emit(e, names=names) for e in exprs)
-    fn = _compile("X, P", body + [f"return [{values}]"])
-    ends = list(itertools.accumulate((math.prod(shape) for shape, _ in blocks), initial=0))
+    return body + [f"return [{values}]"], [shape for shape, _ in blocks]
+
+
+def _compile_frozen(body, shapes):
+    """The evaluator (X, P) -> one array per shape that _frozen_source generated as body."""
+    fn = _compile("X, P", body)
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
 
     def evaluate(X, P):
         out = np.array(fn(X, P), dtype=float)
-        return [out[a:b].reshape(shape) for a, b, (shape, _) in zip(ends, ends[1:], blocks)]
+        return [out[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
     return evaluate
 
@@ -489,8 +587,9 @@ class Model:
         if tau_max is not None and tau_max <= 0:
             raise ModelError("tau_max must be positive")
         # f and the delays apart, so a residual never evaluates a delay
-        self._rhs = _compile_frozen([((n,), self.rhs_exprs.__getitem__)])
-        self._taus = _compile_frozen([((self.m - 1,), lambda j: self.delay_exprs[j + 1])])
+        self._rhs = _compile_frozen(*_frozen_source([((n,), self.rhs_exprs.__getitem__)]))
+        self._taus = _compile_frozen(*_frozen_source(
+            [((self.m - 1,), lambda j: self.delay_exprs[j + 1])]))
         self._functional = _compile_functional(n, delay_exprs, rhs_exprs)
         self._on_nodes = _compile_functional(n, delay_exprs, rhs_exprs, nodes=True)
         self._derivs = {}  # evaluators of frozen_derivatives by order
@@ -561,7 +660,8 @@ class Model:
         if order not in self._derivs:
             from .symbolic import slot_derivative_blocks
 
-            self._derivs[order] = _compile_frozen(slot_derivative_blocks(self, order))
+            self._derivs[order] = _compile_frozen(
+                *_frozen_source(*slot_derivative_blocks(self, order)))
         X = self._frozen(x)
         return self._derivs[order](X, _floats(params, (self.n_p,), "parameter vector"))
 

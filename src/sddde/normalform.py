@@ -29,7 +29,7 @@ from .derivs import DerivSettings, check_consistency, multilinear_form, multilin
 from .errors import DegenerateEigenvalueError, ResonanceError
 from .histfun import ExpPoly
 from .spectral import (EigenData, char_matrix, char_matrix_deriv, eigenfunction, eigentriple,
-                       hopf_eigendata, linearize, phase_fixed)
+                       hopf_eigendata, linearize, phase_fixed, require_equilibrium)
 
 _DEGENERACY_TOL = 1e-8
 _SINGULAR_TOL = 1e-10
@@ -74,7 +74,7 @@ def hopf_h2(model, params, xstar, eig, settings=None, lin=None):
     return h2_20, h2_11
 
 
-def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None):
+def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None, lin=None):
     """Full Hopf normal form at an equilibrium with a simple pair near i w.
 
     The cubic bracket is evaluated at the configured node level and checked
@@ -82,12 +82,14 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None):
     disagreement beyond the consistency tolerance raises "derivative
     accuracy insufficient". A given eig is re-fixed to the phase_fixed
     convention first, so externally rotated eigenvectors give the same
-    result.
+    result. A given lin is the caller's linearization at (params, xstar);
+    the point must be an equilibrium either way.
     """
     settings = settings or DerivSettings()
     params = np.asarray(params, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
-    lin = linearize(model, params, xstar)
+    require_equilibrium(model, params, xstar)
+    lin = lin or linearize(model, params, xstar, check_equilibrium=False)
     if eig is None:
         eig = hopf_eigendata(lin, omega_guess)
     else:

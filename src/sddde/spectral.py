@@ -65,16 +65,21 @@ class Linearization:
         return max(self.taus)
 
 
+def require_equilibrium(model, params, xstar):
+    """NumericalError unless f(x*, ..., x*, p) is at most 1e-10 in every component."""
+    res = model.equilibrium_residual(params, xstar)
+    if np.max(np.abs(res)) > 1e-10:
+        raise NumericalError(
+            f"linearize requires an equilibrium; residual is {np.max(np.abs(res)):.3e}"
+        )
+
+
 def linearize(model, params, xstar, check_equilibrium=True):
     """Linearization at an equilibrium: A_j = df/dx@j exactly, from the model's derivative ASTs."""
     params = np.asarray(params, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     if check_equilibrium:
-        res = model.equilibrium_residual(params, xstar)
-        if np.max(np.abs(res)) > 1e-10:
-            raise NumericalError(
-                f"linearize requires an equilibrium; residual is {np.max(np.abs(res)):.3e}"
-            )
+        require_equilibrium(model, params, xstar)
     A, _ = model.frozen_derivatives(params, xstar)
     taus = model.frozen_delays(params, xstar)
     return Linearization(tuple(A), tuple(float(t) for t in taus), params, xstar)
@@ -441,8 +446,9 @@ def spectral_projection(lin, critical, v, radius=None):
     on a characteristic root is refused). The resolvent's I_lam v part is
     entire in lam and integrates to zero. A simple root keeps M_0 only, any
     other root its moments up to the first negligible one (its Jordan
-    chain). A later moment with |M_k| span^k / k! > 1e-6 (1 + |M_0|) means
-    the contour encloses extra roots. An empty list of critical roots, or
+    chain). A later moment with |M_k| span^k / k! > 1e-6 (1 + |M_0|) is
+    refused: z is not a root when Delta(z) is nonsingular, and the contour
+    encloses extra roots otherwise. An empty list of critical roots, or
     one that is not finite, is refused before any root is computed.
     """
     critical = [complex(z) for z in critical]
@@ -475,6 +481,10 @@ def spectral_projection(lin, critical, v, radius=None):
         except DegenerateEigenvalueError:  # any other root: its Jordan chain
             keep = next((k for k in range(1, _MOMENTS) if sizes[k] <= tol), _MOMENTS)
         late = max(sizes[keep:], default=sizes[-1])
+        if late > tol and _nullity(char_matrix(lin, z)) == 0:
+            raise NumericalError(f"{z:.6g} is not a characteristic root: Delta is nonsingular "
+                                 f"there, and a contour moment around it does not vanish "
+                                 f"({late:.2e})")
         if late > tol:
             raise NumericalError(f"a contour moment around {z:.6g} does not vanish ({late:.2e}); "
                                  "the contour likely encloses extra roots")

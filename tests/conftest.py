@@ -71,3 +71,24 @@ def sympy_expr(sp, node, params, slots):
 @pytest.fixture(scope="session")
 def pi_half():
     return float(np.pi / 2)
+
+
+# one operator level of each construct around an expression {}
+NESTING_LEVELS = {
+    "mul": "(x1@2*{})", "div": "(x1@2/{})", "div-left": "({}/x1@2)", "add": "(x1@2+{})",
+    "sub": "(x1@2-{})", "neg": "-({})", "square": "({})^2", "cube": "({})^3",
+    "inverse-square": "({})^-2", "sin": "sin({})", "cos": "cos({})", "exp": "exp({})",
+    "log": "log({})", "sqrt": "sqrt({})", "tan": "tan({})", "atan": "atan({})",
+    "product": "{} * x1@2", "quotient": "{} / x1@2", "sum": "{} + x1@2",
+}
+
+
+def nested_model(level, depth):
+    """A scalar model whose rhs is x1@1 inside depth levels of level, a NESTING_LEVELS value;
+    its tree is depth operator levels deep."""
+    from sddde import parse_model
+
+    text = "x1@1"
+    for _ in range(depth):
+        text = level.format(text)
+    return parse_model(f'dim=1\nparameters=[]\ndelays=["0", "1"]\nrhs=["{text}"]\n')

@@ -5,6 +5,7 @@ import pytest
 
 from sddde import hopf_l1, load_model
 from sddde.cli import run
+from sddde.model import MAX_NESTING
 
 from conftest import model_path
 
@@ -66,6 +67,14 @@ class TestSubcommands:
         code, out, err = invoke(capsys, ["roots", "--model", "missing.mdl"])
         assert code == 2
         assert "cannot open model file" in err
+
+    def test_too_deep_expression_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.mdl"
+        deep = "sin(" * 300 + "x1@1" + ")" * 300
+        path.write_text(f'dim=1\nparameters=["p"]\ndelays=["0"]\nrhs=["p - {deep}"]\n')
+        code, out, err = invoke(capsys, ["eq", "--model", str(path), "--par", "p=0"])
+        assert code == 2 and out == ""
+        assert err == f"sddde: rhs[1]: expression nests deeper than {MAX_NESTING} levels\n"
 
     def test_unknown_parameter_is_usage_error(self, capsys):
         code, _, err = invoke(

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import sddde.continuation
+import sddde.normalform
 import sddde.spectral
 from sddde import (
     ConvergenceError,
@@ -267,20 +268,25 @@ class TestHopfCurve:
         assert sum(1 for p, _ in calls if (p[i], p[j]) == event.params) == 1
 
     def test_curve_points_hand_their_eigendata_to_hopf_l1(self, poscontrol_model, monkeypatch):
-        # every point and secant iterate builds its eigendata once, at its own
-        # (x, p, i omega), and no root is refined again
+        # every point and secant iterate builds its linearization and eigendata
+        # once, at its own (x, p, i omega), and no root is refined again
         refined, given = [], []
 
         def refine(*args, **kwargs):
             refined.append(args)
             return refine_root(*args, **kwargs)
 
-        def recording(model, params, xstar, omega_guess, settings=None, eig=None):
+        def recording(model, params, xstar, omega_guess, settings=None, eig=None, lin=None):
             given.append((omega_guess, eig))
-            return hopf_l1(model, params, xstar, omega_guess, settings=settings, eig=eig)
+            assert np.array_equal(lin.params, params) and np.array_equal(lin.xstar, xstar)
+            return hopf_l1(model, params, xstar, omega_guess, settings=settings, eig=eig, lin=lin)
+
+        def no_second_linearization(*args, **kwargs):
+            raise AssertionError("hopf_l1 linearized a point it was given a linearization of")
 
         monkeypatch.setattr(sddde.spectral, "refine_root", refine)
         monkeypatch.setattr(sddde.continuation, "hopf_l1", recording)
+        monkeypatch.setattr(sddde.normalform, "linearize", no_second_linearization)
         asg = {"tau0": 1.03, "s0": 5.8, "k": 1.0, "c": 2.0, "gamma": 1.0}
         pts = continue_hopf_curve(
             poscontrol_model, asg, ("tau0", "s0"), np.array([5.8, 5.8]),

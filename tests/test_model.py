@@ -1,5 +1,7 @@
+import itertools
 import math
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from sddde import (
     to_text,
 )
 from sddde.ivp import _hermite, _interpolate
-from sddde.model import FUNCTIONS, Bin, Call, Model, Neg, Num, Param, Pow, State
+from sddde.model import (FUNCTIONS, MAX_NESTING, Bin, Call, Model, Neg, Num, Param, Pow, State,
+                         _children, _emit, _frozen_source)
+from sddde.symbolic import slot_derivative_blocks
+
+from conftest import NESTING_LEVELS, nested_model
 
 PI_2 = math.pi / 2
 
@@ -83,6 +89,35 @@ class TestParseModel:
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(ModelError, match="integer literal"):
             parse_model(SCALAR_SRC.replace("p - x1@2", "p - x1@2^1.5"))
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("construct", list(NESTING_LEVELS))
+    def test_both_orders_compile_at_the_limit(self, construct):
+        model = nested_model(NESTING_LEVELS[construct], MAX_NESTING)
+        for order in (1, 2):
+            try:
+                model.frozen_derivatives([], [0.5], order)
+            except NumericalError:  # log(log(0.5)) and the like: the values, not the compile
+                pass
+        assert set(model._derivs) == {1, 2}
+
+    @pytest.mark.parametrize("construct", list(NESTING_LEVELS))
+    def test_one_level_more_is_refused(self, construct):
+        with pytest.raises(ModelError, match=rf"^rhs\[1\]: expression nests deeper than "
+                                             rf"{MAX_NESTING} levels$"):
+            nested_model(NESTING_LEVELS[construct], MAX_NESTING + 1)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x1@1" + ")" * 300,
+        "sin(" * 300 + "x1@1" + ")" * 300,
+        " + ".join(["x1@1"] * 3000),
+        "(" * (MAX_NESTING + 1) + "x1@1" + ")" * (MAX_NESTING + 1),
+    ], ids=["parentheses", "calls", "flat-sum", "redundant-parentheses"])
+    def test_deep_text_is_a_model_error(self, text):
+        # no RecursionError in the parser and no SyntaxError from the compile
+        with pytest.raises(ModelError, match=f"nests deeper than {MAX_NESTING} levels"):
+            parse_expr(text, [], 1, 1)
 
 
 class TestEvalFunctional:
@@ -534,3 +569,65 @@ class TestCompiledFunctional:
             return values + [float(bool(used))]
 
         assert _outcome(kernel, raw=True) == _outcome(interpreter, raw=True)
+
+
+def _quadratic_cse(exprs):
+    """Body lines of the evaluator of exprs by the pass _frozen_source replaced: occurrences
+    counted by structural equality over a pre-order walk of every element, and a local for
+    each node counted twice, bound at its first encounter in the reversed walk."""
+    def walk(node):
+        yield node
+        for child in _children(node):
+            yield from walk(child)
+
+    def emit(node):
+        if node in names:
+            return names[node]
+        if isinstance(node, Neg):
+            return f"(-{emit(node.arg)})"
+        if isinstance(node, Pow):
+            return f"({emit(node.base)})**({node.power})"
+        if isinstance(node, Bin):
+            return f"({emit(node.left)} {node.op} {emit(node.right)})"
+        if isinstance(node, Call):
+            return f"math.{node.func}({emit(node.arg)})"
+        return _emit(node)
+
+    walked = [sub for e in exprs for sub in walk(e)]
+    body = [f"x{c}_{s} = X[{c - 1}][{s - 1}]"
+            for c, s in sorted({(r.comp, r.slot) for r in walked if isinstance(r, State)})]
+    counts, names = Counter(walked), {}
+    for sub in reversed(walked):
+        if counts[sub] > 1 and isinstance(sub, (Bin, Call, Pow)) and sub not in names:
+            body.append(f"t{len(names)} = {emit(sub)}")
+            names[sub] = f"t{len(names)}"
+    values = ", ".join("0.0" if e == Num(0.0) else emit(e) for e in exprs)
+    return body + [f"return [{values}]"]
+
+
+def _frozen_bodies(model, order):
+    """(body lines _frozen_source generates, _quadratic_cse's) for one derivative order."""
+    blocks, dag = slot_derivative_blocks(model, order)
+    exprs = [entry(*index) for shape, entry in blocks
+             for index in itertools.product(*map(range, shape))]
+    body, _ = _frozen_source([((len(exprs),), exprs.__getitem__)], dag)
+    return body, _quadratic_cse(exprs)
+
+
+class TestFrozenSource:
+    """The linear pass of _frozen_source emits the source of the quadratic one it replaced."""
+
+    def test_bundled_models(self, scalar_model, poscontrol_model):
+        for model in (scalar_model, poscontrol_model):
+            for order in (1, 2):
+                ours, reference = _frozen_bodies(model, order)
+                assert ours == reference
+
+    @given(d2=tree_st(1), d3=tree_st(2), r1=tree_st(3), r2=tree_st(3))
+    @settings(max_examples=100)
+    def test_random_models(self, d2, d3, r1, r2):
+        delays = [Num(0.0), _in_unit_range(d2), _in_unit_range(d3)]
+        model = Model("oracle", 2, ("p", "beta"), delays, [r1, r2], tau_max=1.0)
+        for order in (1, 2):
+            ours, reference = _frozen_bodies(model, order)
+            assert ours == reference

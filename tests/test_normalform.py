@@ -7,6 +7,7 @@ from sddde import (
     DerivSettings,
     EigenData,
     ExpPoly,
+    NumericalError,
     ResonanceError,
     char_matrix,
     char_matrix_deriv,
@@ -152,6 +153,15 @@ class TestHopfL1:
             nf = hopf_l1(scalar_model, [-PI_2], [-PI_2], 1.0, eig=eig_scaled)
             assert np.sign(nf.L1) == np.sign(scalar_nf.L1)
             assert nf.L1 == pytest.approx(scalar_nf.L1 * c * c, rel=1e-6)
+
+    def test_given_linearization_gives_the_same_bits(self, scalar_model, scalar_nf):
+        lin = linearize(scalar_model, [-PI_2], [-PI_2])
+        nf = hopf_l1(scalar_model, [-PI_2], [-PI_2], 1.0, lin=lin)
+        assert nf.L1 == scalar_nf.L1 and nf.g21 == scalar_nf.g21
+        # the point is still checked, not the linearization
+        off = linearize(scalar_model, [-PI_2], [-1.5], check_equilibrium=False)
+        with pytest.raises(NumericalError, match="requires an equilibrium"):
+            hopf_l1(scalar_model, [-PI_2], [-1.5], 1.0, lin=off)
 
     def test_step_halving_stability(self, scalar_model, scalar_nf):
         nf2 = hopf_l1(

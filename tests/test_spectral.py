@@ -601,6 +601,15 @@ class TestResolventProjection:
         with pytest.raises(NumericalError, match="extra roots"):
             spectral_projection(scalar_lin, [1j, -1j], v, radius=6.0)
 
+    def test_critical_value_off_the_root_is_named(self, scalar_lin):
+        # Delta(i + 1e-5) is nonsingular: the refusal says so instead of blaming extra roots
+        v = self._test_function()
+        with pytest.raises(NumericalError, match=r"^1e-05\+1j is not a characteristic root: "
+                                                 r"Delta is nonsingular there"):
+            spectral_projection(scalar_lin, [1j + 1e-5, -1j + 1e-5], v)
+        for eps in (1e-7, 1e-9):  # near enough for the moments to vanish: one term per value
+            assert len(spectral_projection(scalar_lin, [1j + eps, -1j + eps], v).terms) == 2
+
     def test_hopf_pair_projection_has_one_term_per_root(self, scalar_lin):
         pv = spectral_projection(scalar_lin, [1j, -1j], self._test_function())
         assert sorted((power, exponent.imag) for _, power, exponent in pv.terms) == [

@@ -1,8 +1,11 @@
 """Exact slot derivatives against sympy, and the Newton Jacobians against central differences."""
 
+import gc
+
 import numpy as np
 import pytest
 
+import sddde.model
 from sddde import (
     ModelError,
     NumericalError,
@@ -10,10 +13,12 @@ from sddde import (
     continue_branch,
     load_model,
     parse_model,
+    symbolic,
 )
 from sddde.continuation import _branch_system, _hopf_system, start_hopf_curve
+from sddde.model import MAX_NESTING, _walk
 
-from conftest import model_path, sympy_expr
+from conftest import NESTING_LEVELS, model_path, nested_model, sympy_expr
 
 # every FUNCTIONS entry, "/", unary minus and a negative integer power; the delay
 # of slot 3 reads slot 2, whose own delay depends on the state
@@ -104,6 +109,61 @@ class TestExactSlotDerivatives:
         for order in (1, 2):
             with pytest.raises(NumericalError, match="numerical failure"):
                 model.frozen_derivatives([], [0.0], order)
+
+
+def compile_work(monkeypatch, model, order):
+    """(derivative rules applied, as (node, var) pairs; CSE node visits) of one compile."""
+    rules, visits = [], []
+    rule, children = symbolic._Slopes.rule, sddde.model._children
+
+    def counted_rule(self, node, var):
+        rules.append((node, var))
+        return rule(self, node, var)
+
+    def counted_children(node):
+        visits.append(node)
+        return children(node)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symbolic._Slopes, "rule", counted_rule)
+        patch.setattr(sddde.model, "_children", counted_children)
+        try:
+            model.frozen_derivatives([0.5] * model.n_p, [0.5] * model.n, order)
+        except NumericalError:  # the values, not the compile
+            pass
+    assert order in model._derivs
+    return rules, len(visits)
+
+
+class TestCompileWork:
+    """Machine-independent counts of the work of compiling slot derivatives."""
+
+    @pytest.mark.parametrize("name", ["position_control", "all_rules"])
+    def test_no_pair_is_differentiated_twice(self, name, monkeypatch):
+        model = (load_model(model_path("position_control.mdl")) if name == "position_control"
+                 else parse_model(ALL_RULES_SRC))
+        rules, _ = compile_work(monkeypatch, model, 2)
+        # compared structurally: equal subexpressions built apart count as one node
+        assert rules and len(set(rules)) == len(rules)
+        # a node free of the variable is zero without a rule
+        assert all(any(sub == var for sub, _ in _walk(node)) for node, var in rules)
+
+    def test_intern_table_lives_for_one_compile(self):
+        model = parse_model(ALL_RULES_SRC)
+        for order in (1, 2):
+            model.frozen_derivatives([0.7, 0.4], [0.3, -0.5], order)
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, sddde.model._Dag)]
+
+    @pytest.mark.parametrize("construct", ["mul", "sin", "square"])
+    def test_work_grows_linearly_with_depth(self, construct, monkeypatch):
+        work = {}
+        for depth in (MAX_NESTING // 2, MAX_NESTING):
+            model = nested_model(NESTING_LEVELS[construct], depth)
+            counts = [compile_work(monkeypatch, model, order) for order in (1, 2)]
+            work[depth] = (sum(len(rules) for rules, _ in counts), sum(v for _, v in counts))
+        (rules, visits), (rules2, visits2) = work[MAX_NESTING // 2], work[MAX_NESTING]
+        assert rules2 <= 2.2 * rules and visits2 <= 2.2 * visits
 
 
 def central_differences(fun, y, h=1e-6):
