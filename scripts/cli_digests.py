@@ -33,17 +33,20 @@ WORKLOADS = ("hopf_curve_l1", "continuation")
 SCALAR = ["--model", str(ROOT / "models" / "scalar_nested.mdl")]
 POSCONTROL = ["--model", str(ROOT / "models" / "position_control.mdl"),
               "--par", "tau0=1,s0=4,k=1,c=2,gamma=1", "--guess", "4,4"]
+BRANCH = ["branch", *SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"]
 SIMULATE = ["simulate", *SCALAR, "--par", "p=-1.6", "--t-end", "50", "--step", "0.02"]
 # the README's CLI examples whose models are in models/
 README_RUNS = {
     "eq": ["eq", *POSCONTROL],
+    "eq --format csv": ["eq", *POSCONTROL, "--format", "csv"],
     "roots": ["roots", *SCALAR, "--par", "p=-1.5707963267948966"],
     # 23 roots, past the rightmost 6, and two dropped-seed warnings
     "roots --root-count 24": ["roots", *POSCONTROL, "--root-count", "24", "--re-cutoff", "3"],
     "hopf-nf": ["hopf-nf", *SCALAR, "--par", "p=-1.5707963", "--omega-guess", "1"],
     "fold-nf": ["fold-nf", "--model", str(ROOT / "models" / "fold_quadratic.mdl"),
                 "--par", "p=0", "--guess", "0"],
-    "branch": ["branch", *SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"],
+    "branch": BRANCH,
+    "branch --format csv": BRANCH + ["--format", "csv"],
     # the forward leg ends where the nested delay leaves [0, tau_max]
     "branch --range=-1:1": ["branch", *SCALAR, "--par", "p=-0.5", "--free", "p", "--range=-1:1"],
     "hopf-curve --monitor-l1": ["hopf-curve", *POSCONTROL, "--free", "tau0,s0",

@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands: eq, roots, hopf-nf, fold-nf, branch, hopf-curve, simulate.
-Records stream to stdout as NDJSON (default) or CSV; numbers are printed
-with 17 significant digits and no timestamps, so identical invocations
-produce byte-identical output. Exit codes: 0 success, 1 numerical
-failure, 2 usage or parse error.
+Each subcommand collects (kind, data) records, and they are written to
+stdout when it finishes: as NDJSON (default), with floats in the shortest
+form that round-trips and complex values as [re, im], or as CSV, with
+floats to 17 significant digits, list entries as key1, key2, ..., complex
+values as key_re, key_im, and a header that is the union of the records'
+columns. There are no timestamps, so identical invocations produce
+byte-identical output. Exit codes: 0 success, 1 numerical failure, 2 usage
+or parse error.
 """
 
 import argparse
+import csv
 import json
 import sys
 import warnings
@@ -29,79 +34,49 @@ from .normalform import fold_coefficient, hopf_l1
 from .spectral import characteristic_roots, linearize
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _plain(value):
+    """A record field as plain Python: arrays and tuples become lists, numpy
+    scalars Python scalars and bools 0/1; complex values stay complex."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    return int(value) if isinstance(value, bool) else value
 
 
-def _jsonify(obj):
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def _cells(key, value):
+    """(column, cell) pairs of one plain CSV field: list entries as key1, key2, ...,
+    complex values as key_re and key_im, floats with 17 significant digits."""
+    if isinstance(value, list):
+        for i, v in enumerate(value, start=1):
+            yield from _cells(f"{key}{i}", v)
+    elif isinstance(value, complex):
+        yield from _cells(f"{key}_re", value.real)
+        yield from _cells(f"{key}_im", value.imag)
+    elif isinstance(value, float):
+        yield key, format(value, ".17g")
+    else:  # int, str, or None, which csv writes as an empty cell
+        yield key, value
 
 
-class Writer:
-    """Streams records; CSV needs a fixed column list, NDJSON does not."""
-
-    def __init__(self, fmt, stream):
-        self.fmt = fmt
-        self.stream = stream
-        self.columns = None
-
-    def record(self, kind, data):
-        if self.fmt == "ndjson":
-            payload = {"kind": kind}
-            payload.update({k: _jsonify(v) for k, v in data.items()})
-            self.stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        else:
-            flat = _flatten(data)
-            if self.columns is None:
-                self.columns = ["kind"] + list(flat)
-                self.stream.write(",".join(self.columns) + "\n")
-            row = [kind] + [_csv_cell(flat.get(c, "")) for c in self.columns[1:]]
-            self.stream.write(",".join(row) + "\n")
-
-
-def _flatten(data):
-    flat = {}
-    for key, value in data.items():
-        if isinstance(value, complex):
-            flat[f"{key}_re"] = value.real
-            flat[f"{key}_im"] = value.imag
-        elif isinstance(value, np.ndarray):
-            arr = np.atleast_1d(value)
-            if np.iscomplexobj(arr):
-                for i, v in enumerate(arr, start=1):
-                    flat[f"{key}{i}_re"] = v.real
-                    flat[f"{key}{i}_im"] = v.imag
-            else:
-                for i, v in enumerate(arr, start=1):
-                    flat[f"{key}{i}"] = float(v)
-        elif isinstance(value, (list, tuple)):
-            for i, v in enumerate(value, start=1):
-                flat[f"{key}{i}"] = v
-        else:
-            flat[key] = value
-    return flat
-
-
-def _csv_cell(value):
-    if isinstance(value, str):
-        return value
-    if value is None or value == "":
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value)
+def _write(records, fmt, stream):
+    """(kind, data) records as NDJSON lines or as one CSV table whose header
+    is the union of the records' columns, in first-seen order."""
+    rows = [{"kind": kind, **{k: _plain(v) for k, v in data.items()}} for kind, data in records]
+    if fmt == "ndjson":
+        for row in rows:  # json encodes only complex values through default
+            stream.write(json.dumps(row, separators=(",", ":"),
+                                    default=lambda z: [z.real, z.imag]) + "\n")
+        return
+    flat = [dict(cell for key, value in row.items() for cell in _cells(key, value))
+            for row in rows]
+    columns = list(dict.fromkeys(column for row in flat for column in row))
+    if columns:
+        table = csv.writer(stream, lineterminator="\n")
+        table.writerow(columns)
+        table.writerows([row.get(column) for column in columns] for row in flat)
 
 
 def _parse_assignments(pairs):
@@ -200,7 +175,7 @@ def build_parser():
         epilog=(
             "CSV columns: kind, <p1>, <p2> (the two free parameters), x1..xn "
             "(equilibrium), omega, residual (max norm of the extended system), "
-            "optionally L1, plus event on L1_ZERO rows."
+            "optionally L1, plus event and note on L1_ZERO rows."
         ),
     )
     common(p_hc)
@@ -225,17 +200,18 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
-    writer = Writer(args.format, sys.stdout)
+    records = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = _dispatch(args, writer)
+            _dispatch(args, records)
         for w in caught:
             if args.format == "csv":
                 print(f"sddde: warning: {w.message}", file=sys.stderr)
             else:
-                writer.record("warning", {"message": str(w.message)})
-        return code
+                records.append(("warning", {"message": str(w.message)}))
+        _write(records, args.format, sys.stdout)
+        return 0
     except ModelError as err:
         print(f"sddde: {err}", file=sys.stderr)
         return 2
@@ -270,7 +246,8 @@ def _settings(args, cls):
         raise ModelError(f"{flags[field]} {rest}") from None
 
 
-def _dispatch(args, writer):
+def _dispatch(args, records):
+    """Run the subcommand, appending its (kind, data) records to records."""
     model = load_model(args.model)
     assignments = _parse_assignments(args.par)
     params = model.params_from(assignments)
@@ -288,42 +265,36 @@ def _dispatch(args, writer):
         rts = characteristic_roots(lin, roots_cfg.count, roots_cfg.re_cutoff, roots_cfg.cheb_nodes)
         if args.command == "roots":
             for lam, mult in rts:
-                writer.record("point", {"root": lam, "multiplicity": mult})
-            return 0
-        writer.record(
-            "result",
-            {
-                "x": x,
-                "delays": np.asarray(lin.taus),
-                "roots": [lam for lam, _ in rts],
-                "stable": bool(max((z.real for z, _ in rts), default=-1.0) < 0),
-            },
-        )
-        return 0
+                records.append(("point", {"root": lam, "multiplicity": mult}))
+            return
+        records.append(("result", {
+            "x": x,
+            "delays": np.asarray(lin.taus),
+            "roots": [lam for lam, _ in rts],
+            "stable": bool(max((z.real for z, _ in rts), default=-1.0) < 0),
+        }))
+        return
 
     if args.command == "hopf-nf":
         x = equilibrium()
         nf = hopf_l1(model, params, x, args.omega_guess, settings=deriv)
-        writer.record(
-            "result",
-            {
-                "omega": nf.eig.omega,
-                "L1": nf.L1,
-                "criticality": nf.criticality,
-                "g21": nf.g21,
-                "p0": nf.eig.p0,
-                "q0": nf.eig.q0,
-                "h2_20": nf.h2_20.terms[0][0],
-                "h2_11": nf.h2_11.terms[0][0] if nf.h2_11.terms else np.zeros(model.n, complex),
-            },
-        )
-        return 0
+        records.append(("result", {
+            "omega": nf.eig.omega,
+            "L1": nf.L1,
+            "criticality": nf.criticality,
+            "g21": nf.g21,
+            "p0": nf.eig.p0,
+            "q0": nf.eig.q0,
+            "h2_20": nf.h2_20.terms[0][0],
+            "h2_11": nf.h2_11.terms[0][0] if nf.h2_11.terms else np.zeros(model.n, complex),
+        }))
+        return
 
     if args.command == "fold-nf":
         x = equilibrium()
         a = fold_coefficient(model, params, x, settings=deriv)
-        writer.record("result", {"a": a, "x": x})
-        return 0
+        records.append(("result", {"a": a, "x": x}))
+        return
 
     if args.command == "branch":
         lo, _, hi = args.range.partition(":")
@@ -347,8 +318,8 @@ def _dispatch(args, writer):
                 data["event"] = pt.event
                 if pt.omega is not None:
                     data["omega"] = pt.omega
-            writer.record(kind, data)
-        return 0
+            records.append((kind, data))
+        return
 
     if args.command == "hopf-curve":
         names = [s.strip() for s in args.free.split(",") if s.strip()]
@@ -371,8 +342,8 @@ def _dispatch(args, writer):
                 data["event"] = pt.event
                 if pt.event == "L1_ZERO":
                     data["note"] = "degenerate Hopf (Bautin candidate)"
-            writer.record(kind, data)
-        return 0
+            records.append((kind, data))
+        return
 
     if args.command == "simulate":
         if args.history is not None:
@@ -381,8 +352,8 @@ def _dispatch(args, writer):
             history = equilibrium()
         traj = simulate(model, params, history, args.t_end, args.step)
         for k in range(traj.t.size):
-            writer.record("point", {"t": traj.t[k], "x": traj.y[k]})
-        return 0
+            records.append(("point", {"t": traj.t[k], "x": traj.y[k]}))
+        return
 
     raise ModelError(f"unknown command {args.command!r}")  # pragma: no cover
 

@@ -239,13 +239,14 @@ def _locate_zero(system, value, ya, yb, va, vb, span, tol):
 _Test = namedtuple("_Test", "at value event span tol")
 
 
-def _continue(system, start, steps, signs, max_points, make_point, tests, stop=()):
+def _continue(system, start, steps, signs, max_points, make_point, tests):
     """Both legs from start = (y0, point), joined as reversed(backward) + [start] + forward.
 
     steps(sgn) yields the accepted y of the leg of orientation sgn;
     make_point(y) turns each into a point. A leg takes at most max_points
-    of them, asking for no step beyond, and an error of a type in stop ends
-    it. The events since the previous point precede each point of a leg.
+    of them, asking for no step beyond, and a DelayRangeError (a delay
+    leaving [0, tau_max]) ends it. The events since the previous point
+    precede each point of a leg.
     """
     legs = {}
     for sgn in signs:
@@ -255,7 +256,7 @@ def _continue(system, start, steps, signs, max_points, make_point, tests, stop=(
                 new = (y, make_point(y))
                 leg += _events(system, tests, prev, new) + [new[1]]
                 prev = new
-        except stop:
+        except DelayRangeError:
             pass
         legs[sgn] = leg
     return legs.get(-1.0, [])[::-1] + [start[1]] + legs.get(+1.0, [])
@@ -395,7 +396,7 @@ def continue_branch(
                    partial(_branch_event, event, roots), slice(None), 1e-8)
              for event in ("HOPF", "FOLD")]
     return _continue(system, (y0, start), steps, signs, step.max_points,
-                     lambda y: _make_point(lin_at(y), y[n], roots), tests, stop=DelayRangeError)
+                     lambda y: _make_point(lin_at(y), y[n], roots), tests)
 
 
 def _branch_event(event, roots, y, payload, ends):
@@ -599,5 +600,4 @@ def continue_hopf_curve(
 
     tests = ([_Test("L1", lambda y: (curve_l1(y, *pair_at(y)),) * 2, l1_zero, pars, 1e-6)]
              if monitor_l1 else [])
-    return _continue(system, (y0, point_at(y0)), steps, signs, step.max_points,
-                     point_at, tests, stop=DelayRangeError)
+    return _continue(system, (y0, point_at(y0)), steps, signs, step.max_points, point_at, tests)

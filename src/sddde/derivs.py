@@ -167,9 +167,7 @@ def _derivatives(model, params, xstar, jobs, settings, tau_max):
     return rows
 
 
-def directional_derivative(
-    model, params, xstar, v, order, settings=None, tau_max=None, *, all_levels=False
-):
+def directional_derivative(model, params, xstar, v, order, settings=None, *, all_levels=False):
     """Order-j derivative of delta -> F(x* + delta v) at delta = 0.
 
     v is an ExpPoly, real-valued (conjugate-paired; the result is real) or
@@ -181,8 +179,7 @@ def directional_derivative(
     settings = settings or DerivSettings()
     if not (1 <= order <= MAX_ORDER):
         raise SdddeError(f"derivative order must be in 1..{MAX_ORDER}, got {order}")
-    if tau_max is None:
-        tau_max = model.resolve_tau_max(params, xstar)
+    tau_max = model.resolve_tau_max(params, xstar)
     (row,) = _derivatives(model, params, xstar, [(v, order)], settings, tau_max)
     return row if all_levels else row[-1]
 

@@ -669,7 +669,7 @@ class Model:
 
     def equilibrium_residual(self, params, x):
         """f(x, ..., x, p): zero exactly at equilibria."""
-        return self.eval_rhs(self._frozen(x), params)
+        return self._rhs(self._frozen(x), _floats(params, (self.n_p,), "parameter vector"))[0]
 
     def frozen_delays(self, params, x):
         """All delays with every slot frozen at x, checked against the resolved tau_max."""

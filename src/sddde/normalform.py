@@ -33,6 +33,7 @@ from .spectral import (EigenData, char_matrix, char_matrix_deriv, eigenfunction,
 
 _DEGENERACY_TOL = 1e-8
 _SINGULAR_TOL = 1e-10
+_HOPF_REAL_TOL = 1e-6  # |Re lam| of a Hopf root, relative to max(1, omega)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,9 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None, lin=None
     accuracy insufficient". A given eig is re-fixed to the phase_fixed
     convention first, so externally rotated eigenvectors give the same
     result. A given lin is the caller's linearization at (params, xstar);
-    the point must be an equilibrium either way.
+    the point must be an equilibrium either way. A root whose "real_part"
+    residual |Re lam| exceeds 1e-6 max(1, w) is no Hopf root and raises
+    DegenerateEigenvalueError.
     """
     settings = settings or DerivSettings()
     params = np.asarray(params, dtype=float)
@@ -96,6 +99,12 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None, lin=None
         q0, phase = phase_fixed(eig.q0)
         if phase != 1.0:
             eig = replace(eig, q0=q0, p0=eig.p0 * phase)
+    real_part = eig.residuals.get("real_part", 0.0)
+    if real_part > _HOPF_REAL_TOL * max(1.0, eig.omega):
+        raise DegenerateEigenvalueError(
+            f"not a Hopf point: the root near i*{eig.omega:.6g} has real part "
+            f"|Re lambda| = {real_part:.3g}"
+        )
     h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin)
     q = eigenfunction(eig)
     qbar = q.conjugate()

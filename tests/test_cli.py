@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -11,6 +13,7 @@ from conftest import model_path
 
 SCALAR = str(model_path("scalar_nested.mdl"))
 POSCONTROL = str(model_path("position_control.mdl"))
+POSCONTROL_REF = ["--model", POSCONTROL, "--par", "tau0=1,s0=4,k=1,c=2,gamma=1", "--guess", "4,4"]
 ROOT_KNOBS = ["--root-count", "--re-cutoff", "--cheb-nodes"]
 DERIV_KNOBS = ["--deriv-radius", "--deriv-levels"]
 
@@ -23,6 +26,10 @@ def invoke(capsys, argv):
 
 def records(out):
     return [json.loads(line) for line in out.splitlines() if line]
+
+
+def csv_rows(out):
+    return list(csv.DictReader(io.StringIO(out)))
 
 
 class TestSubcommands:
@@ -62,6 +69,13 @@ class TestSubcommands:
         (rec,) = [r for r in records(out) if r["kind"] == "result"]
         assert rec["x"] == pytest.approx([4.0, 4.0], abs=1e-10)
         assert rec["delays"] == pytest.approx([0.0, 1.0, 4.0, 5.0])
+
+    def test_hopf_nf_off_the_hopf_set_is_refused(self, capsys):
+        # at (tau0, s0) = (1, 4) the root near 0.517i has Re lambda = -3.7e-3: no Hopf point
+        code, out, err = invoke(capsys, ["hopf-nf", *POSCONTROL_REF, "--omega-guess", "0.52"])
+        assert code == 1 and out == ""
+        assert err == ("sddde: not a Hopf point: the root near i*0.517054 has real part "
+                       "|Re lambda| = 0.00371\n")
 
     def test_missing_model_is_usage_error(self, capsys):
         code, out, err = invoke(capsys, ["roots", "--model", "missing.mdl"])
@@ -344,3 +358,52 @@ class TestDeterminism:
         header = out.splitlines()[0].split(",")
         assert header[0] == "kind"
         assert "param" in header and "stable" in header
+
+
+# the README's CLI runs with --format csv
+README_CSV = {
+    "eq": ["eq", *POSCONTROL_REF],
+    "branch": ["branch", "--model", SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"],
+    "simulate": ["simulate", "--model", SCALAR, "--par", "p=-1.6", "--t-end", "50",
+                 "--step", "0.02"],
+}
+
+
+class TestCsv:
+    @pytest.mark.parametrize("name", list(README_CSV))
+    def test_readme_runs_give_one_cell_per_column(self, capsys, name):
+        code, out, err = invoke(capsys, README_CSV[name] + ["--format", "csv"])
+        assert code == 0, err
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header[0] == "kind" and rows
+        assert all(len(row) == len(header) for row in rows)
+
+    def test_eq_roots_are_re_im_columns(self, capsys):
+        code, out, err = invoke(capsys, README_CSV["eq"] + ["--format", "csv"])
+        assert code == 0, err
+        (row,) = csv_rows(out)
+        roots = [complex(float(row[f"roots{i}_re"]), float(row[f"roots{i}_im"]))
+                 for i in range(1, 7)]
+        assert roots[0] == pytest.approx(-0.0037079494 + 0.5170536735j, abs=1e-9)
+        assert roots[1] == roots[0].conjugate()
+        assert row["stable"] == "1"
+
+    def test_branch_hopf_row_has_event_and_omega(self, capsys):
+        code, out, err = invoke(capsys, README_CSV["branch"] + ["--format", "csv"])
+        assert code == 0, err
+        rows = csv_rows(out)
+        (hopf,) = [row for row in rows if row["kind"] == "event"]
+        assert hopf["event"] == "HOPF"
+        assert float(hopf["omega"]) == pytest.approx(1.0, abs=1e-10)
+        assert all(row["event"] == row["omega"] == "" for row in rows if row["kind"] == "point")
+
+    def test_hopf_curve_l1_zero_rows_have_event_and_note(self, capsys):
+        code, out, err = invoke(capsys, ["hopf-curve", *POSCONTROL_REF, "--free", "tau0,s0",
+                                         "--omega-guess", "0.52", "--monitor-l1",
+                                         "--format", "csv"])
+        assert code == 0, err
+        zeros = [row for row in csv_rows(out) if row["kind"] == "event"]
+        assert len(zeros) == 2
+        for row in zeros:
+            assert row["event"] == "L1_ZERO"
+            assert row["note"] == "degenerate Hopf (Bautin candidate)"

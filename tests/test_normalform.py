@@ -75,8 +75,20 @@ class TestHopfH2:
             hopf_l1(m, [], np.zeros(4), 1.0)
 
 
+def poscontrol_tau0(s0):
+    """tau0 of position_control's primary Hopf point at s0 (k = 1, c = 2, gamma = 1),
+    where omega = pi / (2 tau0 + s0)."""
+    from scipy.optimize import brentq
+
+    def f(t):
+        w = np.pi / (2 * t + s0)
+        return 2 * w - np.sin(w * t) - np.sin(w * (t + s0))
+
+    return brentq(f, 0.5, 2.0, xtol=1e-13)
+
+
 class TestHopfL1:
-    def test_work_count_at_reference_point(self, poscontrol_model, poscontrol_ref, monkeypatch):
+    def test_work_count_at_a_hopf_point(self, poscontrol_model, monkeypatch):
         # polarization: 1 derivative for F2(q,q) (q - q vanishes) and 2 for F2(q,qbar) in
         # stage 1; 4 for F3(q,q,qbar) and 2 each for F2(qbar, h20) and F2(q, h11) in
         # stage 2; each stage is one stacked circle evaluation (centres included), and
@@ -94,8 +106,10 @@ class TestHopfL1:
 
         monkeypatch.setattr(Model, "eval_on_nodes", stacked)
         monkeypatch.setattr(Model, "eval_functional", counted)
-        params = poscontrol_model.params_from(poscontrol_ref)
-        hopf_l1(poscontrol_model, params, [4.0, 4.0], np.pi / 6)
+        t0 = poscontrol_tau0(4.0)
+        params = poscontrol_model.params_from({"tau0": t0, "s0": 4.0, "k": 1.0, "c": 2.0,
+                                               "gamma": 1.0})
+        hopf_l1(poscontrol_model, params, [4.0, 4.0], np.pi / (2 * t0 + 4.0))
         assert stacks == [3, 8]
         assert evals == []
 
@@ -116,16 +130,8 @@ class TestHopfL1:
     def test_position_control_signs_either_side(self, poscontrol_model):
         # on the primary Hopf branch: subcritical well below the L1 zero
         # crossing, supercritical well above it
-        from scipy.optimize import brentq
-
-        def tau0_of(s0):
-            f = lambda t: 2 * (np.pi / (2 * t + s0)) - np.sin(np.pi / (2 * t + s0) * t) - np.sin(
-                np.pi / (2 * t + s0) * (t + s0)
-            )
-            return brentq(f, 0.5, 2.0, xtol=1e-13)
-
         for s0, expected in ((3.0, "subcritical"), (7.0, "supercritical")):
-            t0 = tau0_of(s0)
+            t0 = poscontrol_tau0(s0)
             asg = {"tau0": t0, "s0": s0, "k": 1.0, "c": 2.0, "gamma": 1.0}
             params = poscontrol_model.params_from(asg)
             x = np.array([s0, s0])

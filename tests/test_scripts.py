@@ -27,17 +27,18 @@ def test_cli_digests_prints_one_line_per_cli_operation():
     lines = proc.stdout.splitlines()
     workloads = [line.split()[:2] for line in lines]
     assert workloads == ([["hopf_curve_l1", "0"]] + [["continuation", "0"]] * 3
-                         + [["readme", "-"]] * 10
+                         + [["readme", "-"]] * 12
                          + [["compiled", name] for name in ("fold_quadratic", "position_control",
                                                             "scalar_nested") for _ in range(6)])
     # the README's CLI runs whose models are bundled, after the seeded operations
-    assert [" ".join(line.split()[2:-1]) for line in lines[4:14]] == [
-        "eq", "roots", "roots --root-count 24", "hopf-nf", "fold-nf", "branch", "branch --range=-1:1",
-        "hopf-curve --monitor-l1", "simulate", "simulate --format csv",
+    assert [" ".join(line.split()[2:-1]) for line in lines[4:16]] == [
+        "eq", "eq --format csv", "roots", "roots --root-count 24", "hopf-nf", "fold-nf", "branch",
+        "branch --format csv", "branch --range=-1:1", "hopf-curve --monitor-l1", "simulate",
+        "simulate --format csv",
     ]
     # then each generated function of each bundled model
-    assert [line.split()[2] for line in lines[14:20]] == [
+    assert [line.split()[2] for line in lines[16:22]] == [
         "f", "delays", "functional", "functional_nodes", "derivs1", "derivs2",
     ]
-    assert len({line.split()[-1] for line in lines[14:]}) == 18
+    assert len({line.split()[-1] for line in lines[16:]}) == 18
     assert all(len(line.split()[-1]) == 64 for line in lines)
