@@ -8,10 +8,11 @@ and prints one ``workload seed op sha256`` line per operation (workload
 ``readme``, seed ``-`` for the fixed README runs); the digest covers the
 exit code, stdout and stderr. Then it prints one ``compiled model function
 sha256`` line per function generated for each bundled model: f, the delays,
-the float and the complex-node functional, and the slot derivatives of
-orders 1 and 2; that digest covers the argument list and body lines the
-model compiles. Running it in two checkouts and diffing the outputs shows
-whether their CLI output and their generated code are byte-identical.
+the float and the complex-node functional, the slot derivatives of orders
+1 and 2, and the RK4 stepping loop of ``simulate``; that digest covers the
+argument list and body lines the model compiles. Running it in two
+checkouts and diffing the outputs shows whether their CLI output and their
+generated code are byte-identical.
 
     python3 scripts/cli_digests.py --seeds 0-3
 """
@@ -56,9 +57,9 @@ README_RUNS = {
 }
 
 
-# the functions a model generates, in the order a load and frozen_derivatives of
-# orders 1 and 2 compile them
-COMPILED = ("f", "delays", "functional", "functional_nodes", "derivs1", "derivs2")
+# the functions a model generates, in the order a load, frozen_derivatives of
+# orders 1 and 2 and rk4_steps compile them
+COMPILED = ("f", "delays", "functional", "functional_nodes", "derivs1", "derivs2", "rk4")
 
 
 def digest(res):
@@ -81,6 +82,7 @@ def compiled_digests(path):
                 model.frozen_derivatives([1.0] * model.n_p, [1.0] * model.n, order)
             except NumericalError:
                 pass
+        model.rk4_steps([1.0] * model.n_p, None, 1.0, 1.0, 0, [], [])  # no steps
     finally:
         sddde.model._compile = compile_
     assert len(sources) == len(COMPILED), f"{path.name}: {len(sources)} generated functions"

@@ -1,10 +1,14 @@
 """Method-of-steps initial-value solver, used as a dynamical oracle.
 
-Fixed-step classical RK4 on Python floats. Each stage calls the model's
-compiled float functional on the dense state itself: node values and
-slopes as float lists, the initial history for times up to 0, and the
-tentative next node of the current step. That code reads delayed values by
-the cubic Hermite formula of :func:`_hermite`, which also serves
+Fixed-step classical RK4 on Python floats (Bellen & Zennaro, *Numerical
+Methods for Delay Differential Equations*, OUP 2003). :func:`simulate`
+validates its inputs, takes the first slope from the model's compiled float
+functional, and hands the stepping to the loop the model compiles on the
+first run (``Model.rk4_steps``): every step, sweep and stage is straight-line
+code on scalar locals that reads the dense state itself, as node values and
+slopes in float lists, the initial history for times up to 0, and the
+tentative next node of the current step. Both read delayed values by the
+cubic Hermite formula of :func:`_hermite`, which also serves
 :class:`Trajectory`. When an evaluated delay is shorter than the step the
 stage values are resolved by a small number of fixed-point sweeps over the
 tentative node.
@@ -15,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SdddeError
+from .errors import SdddeError
 from .model import _floats, as_history, history_floats
-
-_SWEEP_LIMIT = 5
-_SWEEP_TOL = 1e-12
 
 
 @dataclass
@@ -89,37 +90,8 @@ def simulate(model, params, history, t_end, step):
         raise SdddeError(f"t_end={t_end:g} is not a whole number of steps of {step:g}")
     P = _floats(params, (model.n_p,), "parameter vector")
 
-    F = model._functional
-    h = step
-    y, yp = [x0], []   # node values and slopes; during step k, y[k + 1] is tentative
-    sweeps = 0
-    yp.append(F(P, hist, tau_max, x0, 0.0, h, 0, y, yp)[0])
-    for k in range(nsteps):
-        t0 = k * h
-        y0, k1 = y[k], yp[k]
-        y.append(y0)  # the first tentative node repeats node k
-        yp.append(k1)
-        for _ in range(_SWEEP_LIMIT):
-            sweeps += 1
-            k2, used2 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k1)],
-                          t0 + h / 2, h, k, y, yp)
-            k3, used3 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k2)],
-                          t0 + h / 2, h, k, y, yp)
-            k4, used4 = F(P, hist, tau_max, [a + h * b for a, b in zip(y0, k3)],
-                          t0 + h, h, k, y, yp)
-            y_new = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-            m_new, used5 = F(P, hist, tau_max, y_new, t0 + h, h, k, y, yp)
-            settled = not (used2 or used3 or used4 or used5) or all(  # a NaN never settles
-                abs(a - b) <= _SWEEP_TOL for a, b in zip(y_new + m_new, y[-1] + yp[-1])
-            )
-            y[-1], yp[-1] = y_new, m_new
-            if settled:
-                break
-        else:
-            raise ConvergenceError(
-                f"fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}"
-            )
-
-    return Trajectory(t=np.arange(nsteps + 1) * h, y=np.array(y), yp=np.array(yp),
+    y, yp = [x0], []   # node values and slopes, as lists of n floats
+    yp.append(model._functional(P, hist, tau_max, x0, 0.0, step, 0, y, yp)[0])
+    sweeps = model.rk4_steps(P, hist, tau_max, step, nsteps, y, yp)
+    return Trajectory(t=np.arange(nsteps + 1) * step, y=np.array(y), yp=np.array(yp),
                       history=hist, step=step, evals=1 + 4 * sweeps)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayRangeError, ModelError, NumericalError
+from .errors import ConvergenceError, DelayRangeError, ModelError, NumericalError
 from .histfun import TermStack
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tan", "atan")
@@ -35,6 +35,10 @@ _TAU_MAX_MARGIN = 1.25  # auto tau_max = margin * max frozen delay
 # function chained this deep compile; a division chain nested a few levels
 # deeper makes its second derivatives nest beyond Python's 200 parentheses.
 MAX_NESTING = 32
+# fixed-point sweeps over the tentative node of one IVP step: at most this
+# many, until no value of the node and its slope moves by more than the tol
+_SWEEP_LIMIT = 5
+_SWEEP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +396,8 @@ def _compile(args, body):
     Math errors raised by the body become NumericalError, with the original as its cause.
     """
     namespace = {"math": math, "np": np, "history_floats": history_floats,
-                 "_checked_delay": _checked_delay, "_complex_delay": _complex_delay,
+                 "_complex_delay": _complex_delay, "DelayRangeError": DelayRangeError,
+                 "ConvergenceError": ConvergenceError,
                  "_MATH_ERRORS": _MATH_ERRORS, "NumericalError": NumericalError}
     exec(f"def f({args}):\n    try:\n" + "".join(f"        {line}\n" for line in body)
          + "    except _MATH_ERRORS as err:\n"
@@ -460,15 +465,20 @@ def _compile_frozen(body, shapes):
     return evaluate
 
 
-# slot j of the float functional read from the dense state, in ivp._hermite's operations
+# slot j of a float stage at time t read from the dense state, in ivp._hermite's operations.
+# The range test is _checked_delay's; the clamp gives the bits of min(max(tau, 0.0), tau_max),
+# -0.0 included, without two builtin calls, and NaN never reaches it.
 _DENSE_READ = """\
-theta = -_checked_delay({j}, {tau}, tau_max)
+tau = {tau}
+if not -1e-12 <= tau <= tau_max + 1e-12:
+    raise DelayRangeError({j}, tau, tau_max)
+theta = -(0.0 if tau < 0.0 else tau_max if tau > tau_max else tau)
 if theta == 0.0:
-    {xs}= x0
+    {xs} = {x1}
 else:
     time = t + theta
     if time <= 0.0:
-        {xs}= history_floats(hist(time), {n})
+        {xs} = history_floats(hist(time), {n})
     else:
         i = int(time / h)
         if i < k:
@@ -483,33 +493,106 @@ else:
         a, b, c, d = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h"""
 
 
+def _locals(name, n):
+    """The n locals of one state as a tuple display, 'x1_1, x2_1,' for name 'x{i}_1'."""
+    return " ".join(f"{name.format(i=i)}," for i in range(1, n + 1))
+
+
+def _float_stage(n, delay_exprs):
+    """Body lines reading slots 2..m of one float stage at time t, slot 1 in x<i>_1.
+
+    Delays are checked left to right, clamped into [0, tau_max], and slot j
+    is read at theta = -tau_j: slot 1 at theta == 0, hist(t + theta) as n
+    floats up to time 0, else the cubic Hermite over nodes y[i] and slopes
+    yp[i] at times i*h. Nodes i <= k are completed; y[k + 1] is the
+    tentative next node, read with s capped at 1, and reading it sets used.
+    """
+    body = []
+    for j, e in enumerate(delay_exprs[1:], start=2):
+        body += _DENSE_READ.format(j=j, tau=_emit(e), n=n, xs=_locals(f"x{{i}}_{j}", n),
+                                   x1=_locals("x{i}_1", n)).splitlines()
+        body += [f"        x{i}_{j} = a * v0[{i - 1}] + b * d0[{i - 1}] + c * v1[{i - 1}]"
+                 f" + d * d1[{i - 1}]" for i in range(1, n + 1)]
+    return body
+
+
 def _compile_functional(n, delay_exprs, rhs_exprs, nodes=False):
     """F(u) as straight-line code: delays left to right, each checked.
 
-    On floats, f(P, hist, tau_max, x0, t, h, k, y, yp) -> (F, used) at time
-    t of the IVP clamps tau_j into [0, tau_max] and reads slot j at theta =
-    -tau_j: x0 at theta == 0, hist(t + theta) as n floats up to time 0, else
-    the cubic Hermite over nodes y[i] and slopes yp[i] at times i*h. Nodes
-    i <= k are completed; y[k + 1] is the tentative next node, read with s
-    capped at 1, and reading it sets used. With nodes=True,
+    On floats, f(P, hist, tau_max, x0, t, h, k, y, yp) -> (F, used) is the
+    _float_stage at time t of the IVP with slot 1 at x0. With nodes=True,
     f(P, hist, tau_max, x0) runs numpy on arrays of complex node values.
     """
-    def slot(j):
-        return "".join(f"x{i}_{j}, " for i in range(1, n + 1))
-
     funcs = _NUMPY_FUNCS if nodes else _MATH_FUNCS
     rhs = ", ".join(_emit(e, funcs) for e in rhs_exprs)
-    body = [f"{slot(1)}= x0"]
+    body = [f"{_locals('x{i}_1', n)} = x0"]
     if nodes:
-        body += [f"{slot(j)}= hist(-_complex_delay({j}, {_emit(e, funcs)}, tau_max))"
-                 for j, e in enumerate(delay_exprs[1:], start=2)]
+        body += [f"{_locals(f'x{{i}}_{j}', n)} = hist(-_complex_delay({j}, {_emit(e, funcs)}, "
+                 f"tau_max))" for j, e in enumerate(delay_exprs[1:], start=2)]
         return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
-    body.append("used = False")
-    for j, e in enumerate(delay_exprs[1:], start=2):
-        body += _DENSE_READ.format(j=j, tau=_emit(e), n=n, xs=slot(j)).splitlines()
-        body += [f"        x{i}_{j} = a * v0[{i - 1}] + b * d0[{i - 1}] + c * v1[{i - 1}]"
-                 f" + d * d1[{i - 1}]" for i in range(1, n + 1)]
-    return _compile("P, hist, tau_max, x0, t, h, k, y, yp", body + [f"return [{rhs}], used"])
+    body += ["used = False", *_float_stage(n, delay_exprs), f"return [{rhs}], used"]
+    return _compile("P, hist, tau_max, x0, t, h, k, y, yp", body)
+
+
+def _compile_rk4(n, delay_exprs, rhs_exprs):
+    """The fixed-step RK4 loop of ivp.simulate as one function of straight-line stages.
+
+    f(P, hist, tau_max, h, nsteps, y, yp) -> sweeps appends nodes 1..nsteps
+    to y and their slopes to yp, lists of n floats that start with node 0
+    and its slope. Step k appends node k again as the tentative node k + 1,
+    then sweeps: the four stages and the end slope, each a _float_stage with
+    its state in x<i>_1 and its slope in scalar locals, then the new
+    tentative node and slope replace the old. A sweep that read no
+    tentative node, or moved none of its values by more than _SWEEP_TOL,
+    ends the step; _SWEEP_LIMIT sweeps that do not is a ConvergenceError.
+    The arithmetic is that of the list loop over _compile_functional that
+    this replaced, operation for operation, so the bits are the same.
+    """
+    comps = range(1, n + 1)
+    rhs = ", ".join(_emit(e) for e in rhs_exprs)
+
+    def stage(state, slope):  # the state of component i is state.format(i=i)
+        return ([f"x{i}_1 = {state.format(i=i)}" for i in comps]
+                + _float_stage(n, delay_exprs) + [f"{_locals(slope, n)} = {rhs},"])
+
+    close = " and ".join([f"abs(x{i}_1 - yt_{i}) <= {_SWEEP_TOL!r}" for i in comps]
+                         + [f"abs(mn_{i} - mt_{i}) <= {_SWEEP_TOL!r}" for i in comps])
+    sweep = [
+        "sweeps += 1",
+        "used = False",
+        "t = t0 + h2",
+        *stage("y0_{i} + h2 * k1_{i}", "k2_{i}"),
+        *stage("y0_{i} + h2 * k2_{i}", "k3_{i}"),
+        "t = t0 + h",
+        *stage("y0_{i} + h * k3_{i}", "k4_{i}"),
+        *stage("y0_{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})", "mn_{i}"),
+        f"y[-1] = [{_locals('x{i}_1', n)}]",
+        f"yp[-1] = [{_locals('mn_{i}', n)}]",
+        f"if not used or {close}:",
+        "    break",
+        f"{_locals('yt_{i}', n)} {_locals('mt_{i}', n)} = "
+        f"{_locals('x{i}_1', n)} {_locals('mn_{i}', n)}",
+    ]
+    body = [
+        "sweeps = 0",
+        "h2 = h / 2",
+        "h6 = h / 6",
+        "for k in range(nsteps):",
+        "    t0 = k * h",
+        "    y0 = y[k]",
+        "    k1 = yp[k]",
+        "    y.append(y0)",
+        "    yp.append(k1)",
+        f"    {_locals('y0_{i}', n)} = {_locals('yt_{i}', n)} = y0",
+        f"    {_locals('k1_{i}', n)} = {_locals('mt_{i}', n)} = k1",
+        f"    for _ in range({_SWEEP_LIMIT}):",
+        *(f"        {line}" for line in sweep),
+        "    else:",
+        "        raise ConvergenceError(",
+        "            f'fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}')",
+        "return sweeps",
+    ]
+    return _compile("P, hist, tau_max, h, nsteps, y, yp", body)
 
 
 def _checked_delay(j, tau, tau_max):
@@ -593,6 +676,7 @@ class Model:
         self._functional = _compile_functional(n, delay_exprs, rhs_exprs)
         self._on_nodes = _compile_functional(n, delay_exprs, rhs_exprs, nodes=True)
         self._derivs = {}  # evaluators of frozen_derivatives by order
+        self._rk4 = None  # the stepping loop of ivp.simulate, compiled on first use
 
     # -- raw coefficient evaluation ------------------------------------
 
@@ -643,6 +727,17 @@ class Model:
             values = self._on_nodes(P, hist, tau_max, hist(0.0))
         out = np.array([np.broadcast_to(value, deltas.shape) for value in values], dtype=complex)
         return out if stacked else out[:, 0]
+
+    def rk4_steps(self, P, hist, tau_max, h, nsteps, y, yp):
+        """Append nsteps fixed RK4 steps of size h to the nodes y and slopes yp; the sweeps.
+
+        P is the parameter vector as floats, y and yp hold node 0 and its
+        slope as lists of n floats; see _compile_rk4. The loop is compiled on
+        first use.
+        """
+        if self._rk4 is None:
+            self._rk4 = _compile_rk4(self.n, self.delay_exprs, self.rhs_exprs)
+        return self._rk4(P, hist, tau_max, h, nsteps, y, yp)
 
     def _frozen(self, x):  # slot matrix with every slot at the state x
         return [[v] * self.m for v in _floats(x, (self.n,), "state vector")]

@@ -29,7 +29,7 @@ def test_cli_digests_prints_one_line_per_cli_operation():
     assert workloads == ([["hopf_curve_l1", "0"]] + [["continuation", "0"]] * 3
                          + [["readme", "-"]] * 12
                          + [["compiled", name] for name in ("fold_quadratic", "position_control",
-                                                            "scalar_nested") for _ in range(6)])
+                                                            "scalar_nested") for _ in range(7)])
     # the README's CLI runs whose models are bundled, after the seeded operations
     assert [" ".join(line.split()[2:-1]) for line in lines[4:16]] == [
         "eq", "eq --format csv", "roots", "roots --root-count 24", "hopf-nf", "fold-nf", "branch",
@@ -37,8 +37,8 @@ def test_cli_digests_prints_one_line_per_cli_operation():
         "simulate --format csv",
     ]
     # then each generated function of each bundled model
-    assert [line.split()[2] for line in lines[16:22]] == [
-        "f", "delays", "functional", "functional_nodes", "derivs1", "derivs2",
+    assert [line.split()[2] for line in lines[16:23]] == [
+        "f", "delays", "functional", "functional_nodes", "derivs1", "derivs2", "rk4",
     ]
-    assert len({line.split()[-1] for line in lines[16:]}) == 18
+    assert len({line.split()[-1] for line in lines[16:]}) == 21
     assert all(len(line.split()[-1]) == 64 for line in lines)
