@@ -36,6 +36,8 @@ POSCONTROL = ["--model", str(ROOT / "models" / "position_control.mdl"),
               "--par", "tau0=1,s0=4,k=1,c=2,gamma=1", "--guess", "4,4"]
 BRANCH = ["branch", *SCALAR, "--par", "p=-1.5", "--free", "p", "--range=-2:-1"]
 SIMULATE = ["simulate", *SCALAR, "--par", "p=-1.6", "--t-end", "50", "--step", "0.02"]
+HOPF_CURVE = ["hopf-curve", *POSCONTROL, "--free", "tau0,s0", "--omega-guess", "0.52",
+              "--monitor-l1"]
 # the README's CLI examples whose models are in models/
 README_RUNS = {
     "eq": ["eq", *POSCONTROL],
@@ -50,8 +52,9 @@ README_RUNS = {
     "branch --format csv": BRANCH + ["--format", "csv"],
     # the forward leg ends where the nested delay leaves [0, tau_max]
     "branch --range=-1:1": ["branch", *SCALAR, "--par", "p=-0.5", "--free", "p", "--range=-1:1"],
-    "hopf-curve --monitor-l1": ["hopf-curve", *POSCONTROL, "--free", "tau0,s0",
-                                "--omega-guess", "0.52", "--monitor-l1"],
+    "hopf-curve --monitor-l1": HOPF_CURVE,
+    # two cubic brackets are refused at the starting radius and pass at half of it
+    "hopf-curve --monitor-l1 c=0.7": HOPF_CURVE + ["--par", "c=0.7"],
     "simulate": SIMULATE,
     "simulate --format csv": SIMULATE + ["--format", "csv"],
 }

@@ -7,14 +7,13 @@ analytic in the deviation, state-dependent delays included, so
 
 and the trapezoid rule on a circle |delta| = r converges geometrically
 (Lyness & Moler, SIAM J. Numer. Anal. 4, 1967; Bornemann, Found. Comput.
-Math. 11, 2011). Derivatives are computed as a stack: one vectorized call
-evaluates F at N = 8 * 2**(levels - 1) nodes on the circle of every
-direction of the stack, each direction on its own row of nodes; each
-coarser level reads every other node, so the consistency row costs no
-further evaluations. Symmetric j-linear forms come from polarization over
-the complex directions themselves. Every derivative goes through
-_derivatives: directional_derivative is its stack of one, and
-multilinear_forms polarizes a list of forms into one stack.
+Math. 11, 2011). Derivatives are computed as a stack, the rows of one
+TermStack: one vectorized call evaluates F at N = 8 * 2**(levels - 1) nodes
+on the circle of every row, each on its own row of nodes; each coarser
+level reads every other node, so the consistency row costs no further
+evaluations. Every derivative goes through _derivatives:
+directional_derivative is its stack of one, and multilinear_forms polarizes
+the complex directions of its forms into one stack.
 """
 
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DelayRangeError, NumericalError, SdddeError
-from .histfun import TermStack, combine
+from .histfun import TermStack
 
 MAX_ORDER = 5
 
@@ -57,22 +56,11 @@ def _refusal(what, gap, tol):
     )
 
 
-def check_consistency(what, error, size, scale):
-    """NumericalError when error exceeds what an estimate of magnitude size,
-    whose parts reach scale, may be off by."""
+def consistency_refusal(what, error, size, scale):
+    """The NumericalError when error exceeds what an estimate of magnitude
+    size, whose parts reach scale, may be off by; else None."""
     (gap,), tol = _gaps(np.reshape(error, (-1, 1)), size, scale)
-    if gap > tol:
-        raise _refusal(what, gap, float(tol))
-
-
-def _is_real(v):
-    """v equals its conjugate: every term's conjugate is a term, exactly."""
-    terms = {(power, exponent): coef for coef, power, exponent in v.terms}
-    for coef, power, exponent in v.terms:
-        partner = terms.get((power, exponent.conjugate()))
-        if partner is None or not (partner == np.conj(coef)).all():
-            return False
-    return True
+    return _refusal(what, gap, float(tol)) if gap > tol else None
 
 
 def _taylor_row(values, nodes, orders, levels):
@@ -88,15 +76,16 @@ def _taylor_row(values, nodes, orders, levels):
     return np.array(row)
 
 
-def _derivatives(model, params, xstar, jobs, settings, tau_max):
-    """Rows of node levels, shape (levels, n), of D^jF[v] for each (v, j) in jobs.
+def _derivatives(model, params, xstar, stack, orders, settings, tau_max):
+    """Rows of node levels, shape (levels, n), of D^jF[v] for each row v of
+    the TermStack stack, real-valued (conjugate-paired; its row is real) or
+    complex, and its order j in orders.
 
-    Each v is an ExpPoly, real-valued (conjugate-paired; its row is real)
-    or complex. F is evaluated on a circle of radius settings.radius, for v
-    scaled to unit sup norm, and at its centre; the circles of all jobs are
-    one stacked eval_on_nodes call. The nodes of each job must bear out that
-    F is analytic inside: the circle's mean is F(x*) (a singularity inside
-    breaks it), the top level agrees with the next and, along a real
+    F is evaluated on a circle of radius settings.radius, for v scaled to
+    unit sup norm, and at its centre; the circles of all jobs are one
+    eval_on_nodes call on their rows. The nodes of each job must bear out
+    that F is analytic inside: the circle's mean is F(x*) (a singularity
+    inside breaks it), the top level agrees with the next and, along a real
     direction, the result is real. A job that a check refuses halves its
     radius, at most _HALVINGS times, and goes to the next stack. A stacked
     call that fails as a whole (a delay out of range, a floating-point
@@ -108,47 +97,45 @@ def _derivatives(model, params, xstar, jobs, settings, tau_max):
     levels = settings.levels
     count = _COARSE_NODES * 2 ** (levels - 1)
     nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    real = [_is_real(v) for v, _ in jobs]
-    norms = TermStack([v for v, _ in jobs]).sup_norms(-tau_max, 0.0).tolist()
-    radius = [settings.radius] * len(jobs)
-    halvings = [0] * len(jobs)
+    real = stack.is_real().tolist()
+    norms = stack.sup_norms(-tau_max, 0.0).tolist()
+    radius, halvings = [settings.radius] * len(stack), [0] * len(stack)
     rows = [np.zeros((levels, model.n), dtype=float if r else complex) for r in real]
-    directions = {k: v * (1.0 / norms[k]) for k, (v, _) in enumerate(jobs) if norms[k] != 0.0}
-    queue = [list(directions)]
+    scale = np.array([1.0 / norm if norm != 0.0 else 0.0 for norm in norms])
+    unit = stack.with_coefs(stack.coefs * scale[:, None, None])  # as ExpPoly * scale[k]
+    queue = [[k for k, norm in enumerate(norms) if norm != 0.0]]
     failed = {}
     while queue:
-        first_failed = min(failed, default=len(jobs))
-        stack = [k for k in queue.pop(0) if k < first_failed]
-        if not stack:
+        first_failed = min(failed, default=len(stack))
+        jobs = [k for k in queue.pop(0) if k < first_failed]
+        if not jobs:
             continue
-        deltas = np.array([np.append(radius[k] * nodes, 0.0) for k in stack])
+        deltas = np.array([np.append(radius[k] * nodes, 0.0) for k in jobs])
         try:
-            values = model.eval_on_nodes(
-                params, xstar, [directions[k] for k in stack], deltas, tau_max
-            )
+            values = model.eval_on_nodes(params, xstar, unit.take(jobs), deltas, tau_max)
         except (DelayRangeError, NumericalError) as err:
-            if len(stack) > 1:
-                queue[:0] = [[k] for k in stack]
+            if len(jobs) > 1:
+                queue[:0] = [[k] for k in jobs]
                 continue
-            refused = {stack[0]: err}
+            refused = {jobs[0]: err}
         else:
             circle, centre = values[..., :-1], values[..., -1]
-            row = _taylor_row(circle, nodes, [jobs[k][1] for k in stack], levels)
+            row = _taylor_row(circle, nodes, [orders[k] for k in jobs], levels)
             size = np.max(np.abs(row[-1]), axis=0)
             checks = [("circle mean misses F(x*) by", circle.mean(axis=-1) - centre,
                        np.max(np.abs(centre), axis=0), np.max(np.abs(circle), axis=(0, 2)))]
             if levels > 1:
                 checks.append(("node levels disagree by", row[-1] - row[-2], size, size))
             checks.append(("real direction has imaginary part",
-                           row[-1].imag * np.array([real[k] for k in stack]), size, size))
+                           row[-1].imag * np.array([real[k] for k in jobs]), size, size))
             refused = {}
             for what, error, *bounds in checks:  # a job keeps its first refusal
                 gap, tol = _gaps(error, *bounds)
                 for i in np.flatnonzero(gap > tol):
-                    refused.setdefault(stack[i], _refusal(what, gap[i], tol[i]))
-            for i, k in enumerate(stack):
+                    refused.setdefault(jobs[i], _refusal(what, gap[i], tol[i]))
+            for i, k in enumerate(jobs):
                 if k not in refused:
-                    order = jobs[k][1]
+                    order = orders[k]
                     rows[k] = (row[:, :, i].real if real[k] else row[:, :, i]) * (
                         factorial(order) * (norms[k] / radius[k]) ** order
                     )
@@ -180,7 +167,7 @@ def directional_derivative(model, params, xstar, v, order, settings=None, *, all
     if not (1 <= order <= MAX_ORDER):
         raise SdddeError(f"derivative order must be in 1..{MAX_ORDER}, got {order}")
     tau_max = model.resolve_tau_max(params, xstar)
-    (row,) = _derivatives(model, params, xstar, [(v, order)], settings, tau_max)
+    (row,) = _derivatives(model, params, xstar, TermStack([v]), [order], settings, tau_max)
     return row if all_levels else row[-1]
 
 
@@ -190,24 +177,26 @@ def multilinear_forms(model, params, xstar, forms, settings=None, *, all_levels=
 
     Polarization over the directions as they are,
     F_j = sum over eps in {+1, -1}^(j-1) of (prod eps) D^jF[v_1 + sum eps_i v_i]
-    / (2^(j-1) j!); a sum that vanishes contributes nothing and is skipped.
+    / (2^(j-1) j!); a sum that vanishes has norm 0, so _derivatives skips it.
     all_levels returns the rows of node levels as in directional_derivative.
     """
     settings = settings or DerivSettings()
     if not all(1 <= len(directions) <= MAX_ORDER for directions in forms):
         raise SdddeError(f"multilinear_form supports orders 1..{MAX_ORDER}")
     tau_max = model.resolve_tau_max(params, xstar)
-    jobs, signs = [], []
+    given = TermStack([v for directions in forms for v in directions])
+    sums, jobs, first = [], [], 0
     for f, directions in enumerate(forms):
-        sums = [((), directions[0])]  # (eps, v_1 + sum eps_i v_i), each prefix summed once
-        for w in directions[1:]:
-            sums = [(eps + (e,), combine(1.0, v, float(e), w)) for eps, v in sums for e in (1, -1)]
-        for eps, summed in sums:
-            if not summed.is_zero:
-                jobs.append((summed, len(directions)))
-                signs.append((f, np.prod(eps)))
+        summed = given.take([first])  # row s: v_1 + sum eps_i v_i, eps_i = -1 per set bit of s
+        for w in range(first + 1, first + len(directions)):
+            summed = summed.plus_minus(given.take([w]))
+        first += len(directions)
+        sums.append(summed.coefs)
+        jobs += [(f, (-1) ** bin(s).count("1"), len(directions)) for s in range(len(summed))]
+    rows = _derivatives(model, params, xstar, given.with_coefs(np.concatenate(sums)),
+                        [order for *_, order in jobs], settings, tau_max)
     out = [np.zeros((settings.levels, model.n), dtype=complex) for _ in forms]
-    for (f, sign), row in zip(signs, _derivatives(model, params, xstar, jobs, settings, tau_max)):
+    for (f, sign, _), row in zip(jobs, rows):
         out[f] += sign * row
     for f, directions in enumerate(forms):
         out[f] /= 2 ** (len(directions) - 1) * factorial(len(directions))

@@ -5,7 +5,8 @@ exp(exponent*theta)`` with complex vector coefficients. The class is closed
 under differentiation, linear combination and multiplication by real
 polynomials, which makes it the direction space on which functionals with
 state-dependent delays can be differentiated: every evaluation is exact
-term arithmetic, never a sampling grid.
+term arithmetic, never a sampling grid. The derivative engine holds its
+directions as one coefficient array, a :class:`TermStack`.
 
 Real-valued directions are represented by conjugate term pairs; use
 :meth:`ExpPoly.real_part` or build them with ``exponential(c, lam) +
@@ -86,10 +87,6 @@ class ExpPoly:
         return ExpPoly(coef.size, [(coef, power, exponent)])
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def eval(self, theta):
         """Exact value at theta as a complex vector."""
@@ -173,68 +170,82 @@ def poly_multiply(f, root, multiplicity):
 
 
 class TermStack:
-    """The terms of K ExpPolys of one dim as arrays, in list and term order,
-    so that one set of array operations reads all K of them.
-
-    Each value is the per-term arithmetic of one ExpPoly, summed over its
-    terms in order from zero, so every ExpPoly's values are bit for bit
-    those of a stack of one.
-    """
+    """K ExpPolys of one dim as one array over their basis, the sorted union
+    of their (power, exponent) keys and its conjugates: coefs (K, B, dim) and
+    has (K, B), the terms each row holds. A term a row lacks is never
+    evaluated or added, so a row's values are its ExpPoly's, bit for bit."""
 
     def __init__(self, fs):
-        terms = [(k, r, term) for k, f in enumerate(fs) for r, term in enumerate(f.terms)]
-        self.count = len(fs)
-        self.owner = np.array([k for k, _, _ in terms], dtype=int)
-        self.coefs = np.array([t[0] for _, _, t in terms], dtype=complex).reshape(-1, fs[0].dim)
-        self.powers = np.array([t[1] for _, _, t in terms], dtype=int)
-        self.exponents = np.array([t[2] for _, _, t in terms], dtype=complex)
-        rank = np.array([r for _, r, _ in terms], dtype=int)
-        # the r-th terms of the ExpPolys that have one, and their owners
-        self._ranks = [(at, self.owner[at]) for at in (
-            np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1))]
+        terms = [(p, e) for f in fs for _, p, e in f.terms]
+        basis = sorted({_term_key(p, e): (p, e)  # closed under conjugation
+                        for p, e in [(p, e.conjugate()) for p, e in terms] + terms}.items())
+        column = {key: b for b, (key, _) in enumerate(basis)}
+        self.partner = [column[_term_key(p, e.conjugate())] for _, (p, e) in basis]
+        self.powers = np.array([p for _, (p, _) in basis], dtype=int)
+        self.exponents = np.array([e for _, (_, e) in basis], dtype=complex)
+        self.coefs = np.zeros((len(fs), len(basis), fs[0].dim), dtype=complex)
+        for k, f in enumerate(fs):
+            for coef, p, e in f.terms:
+                self.coefs[k, column[_term_key(p, e)]] = coef
+        self.has = self.coefs.any(axis=-1)
 
-    def _sum(self, values):
-        """Per-term values, shape (T, ...), summed per ExpPoly in term order: (K, ...)."""
-        out = np.zeros((self.count,) + values.shape[1:], dtype=complex)
-        for at, owner in self._ranks:
-            out[owner] += values[at]
+    def __len__(self):
+        return len(self.coefs)
+
+    def with_coefs(self, coefs):
+        """Rows of coefficients on this basis, floored in place as ExpPoly floors."""
+        coefs[np.abs(coefs) < _COEF_FLOOR] = 0.0
+        out = object.__new__(TermStack)
+        out.__dict__.update(vars(self), coefs=coefs, has=coefs.any(axis=-1))
         return out
 
+    def take(self, rows):
+        return self.with_coefs(self.coefs[rows])
+
+    def plus_minus(self, other):
+        """Rows v + w and v - w for each row v and the one row w of other, each
+        as combine(1.0, v, +-1.0, w) gives it."""
+        fa = np.repeat(self.coefs, 2, axis=0) * 1.0
+        gb = other.coefs * np.tile([1.0, -1.0], len(self))[:, None, None]
+        in_f, in_g = np.repeat(self.has, 2, axis=0)[..., None], other.has[..., None]
+        return self.with_coefs(np.where(in_f & in_g, fa + gb, np.where(in_f, fa, gb)))
+
+    def is_real(self):
+        """Per row: each coefficient is the conjugate of its conjugate key's, exactly."""
+        return (self.coefs[:, self.partner] == self.coefs.conj()).all(axis=(1, 2))
+
     def eval_rows(self, theta):
-        """ExpPoly k at the points of row k of theta, shape (dim, K, N) for theta
+        """Row k at the points of row k of theta, shape (dim, K, N) for theta
         of shape (K, N); a scalar theta is read by all of them, shape (dim, K, 1)."""
         theta = np.asarray(theta, dtype=complex)
         if theta.ndim == 0:
-            theta = np.broadcast_to(theta, (self.count, 1))
-        at = theta[self.owner]
+            theta = np.broadcast_to(theta, (len(self), 1))
+        rows, terms = np.nonzero(self.has)
+        at, powers = theta[rows], self.powers[terms]
         powered = np.empty_like(at)
-        for power in set(self.powers.tolist()):
-            sel = self.powers == power
-            powered[sel] = at[sel] ** power
-        values = powered * np.exp(self.exponents[:, None] * at)
-        return self._sum(self.coefs[:, :, None] * values[:, None, :]).transpose(1, 0, 2)
+        for power in set(powers.tolist()):
+            powered[powers == power] = at[powers == power] ** power
+        values = powered * np.exp(self.exponents[terms][:, None] * at)
+        out = np.zeros((len(self), self.coefs.shape[-1], theta.shape[-1]), dtype=complex)
+        np.add.at(out, rows, self.coefs[rows, terms][:, :, None] * values[:, None, :])
+        return out.transpose(1, 0, 2)
 
     def sup_norms(self, lo, hi, samples=201):
-        """sup_norm of each ExpPoly, as an array of K values."""
+        """sup_norm of each row, as an array of K values."""
         grid = np.linspace(lo, hi, samples)
         # scalar powers: array ** power rounds differently from theta ** power
         polys = {power: np.array([t**power for t in grid]) if power else np.ones(samples)
                  for power in set(self.powers.tolist())}
-        poly = np.array([polys[power] for power in self.powers.tolist()]).reshape(-1, samples)
-        index = {}  # one exp per distinct exponent
-        which = [index.setdefault(e, len(index)) for e in self.exponents.tolist()]
-        exps = np.exp(np.array(list(index), dtype=complex)[:, None] * grid)[which]
-        vals = self.coefs[:, None, :] * poly[:, :, None] * exps[:, :, None]
-        return np.max(np.abs(self._sum(vals)), axis=(1, 2))
+        rows, terms = np.nonzero(self.has)
+        poly = np.array([polys[power] for power in self.powers[terms].tolist()])
+        vals = self.coefs[rows, terms][:, None, :] * poly.reshape(-1, samples)[:, :, None]
+        out = np.zeros((len(self), samples, self.coefs.shape[-1]), dtype=complex)
+        np.add.at(out, rows, vals * np.exp(self.exponents[terms][:, None] * grid)[:, :, None])
+        return np.max(np.abs(out), axis=(1, 2))
 
 
 def sup_norm(f, lo, hi, samples=201):
-    """max over a theta grid of the largest component magnitude.
-
-    Grid-sampled; adequate for step scaling and test tolerances, not a
-    certified bound. Each term is evaluated on the whole grid at once with
-    the arithmetic and term order of :meth:`ExpPoly.eval`, so the result is
-    the per-point maximum bit for bit. TermStack.sup_norms gives it for
-    many ExpPolys at once.
-    """
+    """max over a theta grid of the largest component magnitude: grid-sampled,
+    adequate for step scaling and test tolerances, not a certified bound. It
+    is the per-point maximum of ExpPoly.eval bit for bit (TermStack.sup_norms)."""
     return float(TermStack([f]).sup_norms(lo, hi, samples)[0])

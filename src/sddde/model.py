@@ -708,17 +708,17 @@ class Model:
         """F(x* + delta v), continued to complex delta, at all nodes at once.
 
         v is one ExpPoly with deltas of shape (N,), giving shape (n, N), or a
-        list of K ExpPolys with deltas of shape (K, N), giving (n, K, N): row
-        k of the nodes reads direction k only. Each direction is read at
+        TermStack of K directions with deltas of shape (K, N), giving (n, K, N):
+        row k of the nodes reads direction k only. Each direction is read at
         complex theta = -tau; delays are checked on Re tau and not clamped.
         Division by zero, overflow and invalid operations raise
         NumericalError; underflow is no error.
         """
         P = _floats(params, (self.n_p,), "parameter vector")
         X = _floats(xstar, (self.n,), "state vector")
-        stacked = isinstance(v, (list, tuple))
-        directions = TermStack(v if stacked else [v])
-        deltas = np.asarray(deltas, dtype=complex).reshape(directions.count, -1)
+        stacked = isinstance(v, TermStack)
+        directions = v if stacked else TermStack([v])
+        deltas = np.asarray(deltas, dtype=complex).reshape(len(directions), -1)
 
         def hist(theta):
             return [x + deltas * w for x, w in zip(X, directions.eval_rows(theta))]

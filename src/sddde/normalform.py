@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivs import DerivSettings, check_consistency, multilinear_form, multilinear_forms
+from .derivs import (_HALVINGS, DerivSettings, consistency_refusal, multilinear_form,
+                     multilinear_forms)
 from .errors import DegenerateEigenvalueError, ResonanceError
 from .histfun import ExpPoly
 from .spectral import (EigenData, char_matrix, char_matrix_deriv, eigenfunction, eigentriple,
@@ -79,11 +80,12 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None, lin=None
     """Full Hopf normal form at an equilibrium with a simple pair near i w.
 
     The cubic bracket is evaluated at the configured node level and checked
-    against the value one level coarser, read off the same circles;
-    disagreement beyond the consistency tolerance raises "derivative
-    accuracy insufficient". A given eig is re-fixed to the phase_fixed
-    convention first, so externally rotated eigenvectors give the same
-    result. A given lin is the caller's linearization at (params, xstar);
+    against the value one level coarser, read off the same circles. A
+    bracket they refuse is computed again at half the radius, as a refused
+    job is, at most _HALVINGS times; then the last refusal ("derivative
+    accuracy insufficient") is raised. h2 keeps its stage's radius. A given
+    eig is re-fixed to the phase_fixed convention first, so externally
+    rotated eigenvectors give the same result. A given lin is the caller's linearization at (params, xstar);
     the point must be an equilibrium either way. A root whose "real_part"
     residual |Re lam| exceeds 1e-6 max(1, w) is no Hopf root and raises
     DegenerateEigenvalueError.
@@ -108,18 +110,19 @@ def hopf_l1(model, params, xstar, omega_guess, settings=None, eig=None, lin=None
     h2_20, h2_11 = hopf_h2(model, params, xstar, eig, settings, lin=lin)
     q = eigenfunction(eig)
     qbar = q.conjugate()
-    terms = multilinear_forms(
-        model, params, xstar, [[q, q, qbar], [qbar, h2_20], [q, h2_11]], settings,
-        all_levels=True,
-    )
-    rows = terms[0] + terms[1] + terms[2]
-    bracket = rows[-1]
-    if settings.levels > 1:
+    for _ in range(_HALVINGS + 1):
+        terms = multilinear_forms(model, params, xstar, [[q, q, qbar], [qbar, h2_20], [q, h2_11]],
+                                  settings, all_levels=True)
+        rows = terms[0] + terms[1] + terms[2]
         scale = max(float(np.max(np.abs(t[-1]))) for t in terms)
-        check_consistency(
-            "node levels disagree by", bracket - rows[-2], float(np.max(np.abs(bracket))), scale
-        )
-    g21 = complex(eig.p0 @ bracket)
+        refusal = settings.levels > 1 and consistency_refusal(
+            "node levels disagree by", rows[-1] - rows[-2], float(np.max(np.abs(rows[-1]))), scale)
+        if not refusal:
+            break
+        settings = replace(settings, radius=settings.radius / 2)
+    else:
+        raise refusal
+    g21 = complex(eig.p0 @ rows[-1])
     L1 = g21.real / (2.0 * eig.omega)
     if L1 > _DEGENERACY_TOL:
         crit = "subcritical"

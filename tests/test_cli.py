@@ -165,6 +165,31 @@ class TestSubcommands:
         zeros = [r for r in records(out) if r["kind"] == "event" and r["event"] == "L1_ZERO"]
         assert len(zeros) == 2
 
+    def test_refused_brackets_halve_the_radius(self, capsys):
+        # at c = 0.7 two cubic brackets near s0 = 1.40 and 1.06 are refused at the
+        # default radius (node levels disagree by 2.26e-05, tolerance 1.48e-05) and pass
+        # at half of it; the curve matches a run with one more node level
+        argv = ["hopf-curve", "--model", POSCONTROL, "--par", "tau0=1,s0=4,k=1,c=0.7,gamma=1",
+                "--free", "tau0,s0", "--omega-guess", "0.52", "--guess", "4,4", "--monitor-l1"]
+        runs = []
+        for extra in ([], ["--deriv-levels", "3"]):
+            code, out, err = invoke(capsys, argv + extra)
+            assert code == 0, err
+            runs.append(records(out))
+        points = [[r for r in recs if r["kind"] == "point"] for recs in runs]
+        events = [[r for r in recs if r["kind"] == "event"] for recs in runs]
+        assert len(points[0]) == len(points[1]) == 31
+        for ours, finer in zip(*points):
+            assert ours["L1"] == pytest.approx(finer["L1"], rel=1e-8, abs=0)
+        assert [e["event"] for e in events[0]] == ["L1_ZERO"] * 2
+        assert [e["event"] for e in events[1]] == ["L1_ZERO"] * 2
+        for ours, finer in zip(*events):
+            assert ours["tau0"] == pytest.approx(finer["tau0"], abs=1e-6)
+            assert ours["s0"] == pytest.approx(finer["s0"], abs=1e-6)
+        # the zeros lie on the rays s0 / tau0 = 5.7714 and 1.2995
+        assert [e["s0"] / e["tau0"] for e in events[0]] == pytest.approx([5.7714, 1.2995],
+                                                                        abs=1e-4)
+
     def test_readme_curve_l1_matches_a_fresh_hopf_l1(self, capsys):
         # each point hands its own eigendata to hopf_l1; a fresh hopf_l1 refines the
         # root again and must give the same L1 (17 printed digits round-trip)

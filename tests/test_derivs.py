@@ -1,7 +1,11 @@
+import functools
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sddde.derivs
 from sddde import (
@@ -21,9 +25,12 @@ from sddde import (
     sup_norm,
 )
 
+from sddde.derivs import multilinear_forms
+from sddde.histfun import TermStack
 from sddde.model import Model
 
 from conftest import sympy_expr
+from test_histfun import exppoly_st
 
 PI_2 = np.pi / 2
 
@@ -52,7 +59,7 @@ def stack_sizes(monkeypatch):
     on_nodes = Model.eval_on_nodes
 
     def stacked(model, params, xstar, v, *args):
-        sizes.append(len(v) if isinstance(v, list) else 1)
+        sizes.append(len(v) if isinstance(v, TermStack) else 1)
         return on_nodes(model, params, xstar, v, *args)
 
     monkeypatch.setattr(Model, "eval_on_nodes", stacked)
@@ -251,7 +258,8 @@ class TestNodeLevels:
 def stacked_rows(model, params, xstar, jobs, settings=DerivSettings()):
     """The rows of one stack of (direction, order) jobs."""
     tau_max = model.resolve_tau_max(params, xstar)
-    return sddde.derivs._derivatives(model, params, xstar, jobs, settings, tau_max)
+    return sddde.derivs._derivatives(model, params, xstar, TermStack([v for v, _ in jobs]),
+                                     [order for _, order in jobs], settings, tau_max)
 
 
 def assert_rows_are_solo(model, params, xstar, jobs, rows, settings=DerivSettings()):
@@ -338,6 +346,116 @@ class TestStackedRows:
             with pytest.raises(NumericalError) as err:
                 stacked_rows(model, [], [0.0], jobs)
             assert str(err.value) == first
+
+
+def reference_is_real(v):
+    """The term-dict walk that TermStack.is_real replaced: v equals its
+    conjugate, every term's conjugate a term, exactly."""
+    terms = {(power, exponent): coef for coef, power, exponent in v.terms}
+    for coef, power, exponent in v.terms:
+        partner = terms.get((power, exponent.conjugate()))
+        if partner is None or not (partner == np.conj(coef)).all():
+            return False
+    return True
+
+
+def reference_sums(forms):
+    """(v_1 + sum eps_i v_i, order, form, prod eps) for every polarization sum
+    of forms in job order, built by combine prefix by prefix as the ExpPoly
+    polarization that the TermStack rows replaced built them."""
+    jobs = []
+    for f, directions in enumerate(forms):
+        sums = [((), directions[0])]
+        for w in directions[1:]:
+            sums = [(eps + (e,), combine(1.0, v, float(e), w)) for eps, v in sums for e in (1, -1)]
+        jobs += [(summed, len(directions), f, np.prod(eps)) for eps, summed in sums]
+    return jobs
+
+
+def assert_rows_are(stack, polys):
+    """Row k of stack holds the terms of polys[k], in key order, with the same bits."""
+    keys = [(p, e.real, e.imag) for p, e in zip(stack.powers.tolist(), stack.exponents.tolist())]
+    assert len(stack) == len(polys)
+    for k, f in enumerate(polys):
+        held = np.flatnonzero(stack.has[k])
+        assert [keys[b] for b in held] == [(p, e.real, e.imag) for _, p, e in f.terms]
+        assert [stack.coefs[k, b].tobytes() for b in held] == [c.tobytes() for c, _, _ in f.terms]
+
+
+@functools.lru_cache
+def linear_model(dim):
+    rhs = ", ".join(f'"x{i}@1"' for i in range(1, dim + 1))
+    return parse_model(f'name="lin"\ndim={dim}\nparameters=[]\ntau_max=1\ndelays=["0"]\n'
+                       f"rhs=[{rhs}]\n")
+
+
+class TestDirectionRows:
+    """The rows that multilinear_forms and _derivatives build against the
+    ExpPoly arithmetic they replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_polarized_rows_are_the_combine_sums(self, dim, data):
+        fs = data.draw(st.lists(exppoly_st(dim=dim, max_terms=3), min_size=2, max_size=3))
+        tiny = data.draw(st.sampled_from([7e-301, 1e-300, 2e-300]))
+        q, w = fs[0], fs[1]
+        # conjugate pairs, repeats whose differences cancel, and terms at the 1e-300 floor
+        pool = fs + [q.conjugate(), q.real_part(), q * tiny, w * (1.3 * tiny), q * (-tiny)]
+        picks = data.draw(st.lists(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                            max_size=4), min_size=1, max_size=3))
+        # 1.5e-300 - 1.2e-300 falls below the floor, 1.5e-300 + 1.2e-300 stays above it
+        floor = [ExpPoly.exponential(np.full(dim, c), 0.5j) for c in (1.5e-300, 1.2e-300)]
+        forms = [[q, q], [q, q.conjugate(), w], [q * tiny, q * (1.3 * tiny), q], floor]
+        forms += [[pool[i] for i in pick] for pick in picks]
+        seen = []
+
+        def capture(model, params, xstar, stack, orders, settings, tau_max):
+            seen.append((stack, orders))  # each job's row is its index + 1, 0 if it vanished
+            return [np.full((settings.levels, model.n), float(k + 1) * stack.has[k].any())
+                    for k in range(len(orders))]
+
+        model = linear_model(dim)
+        with mock.patch.object(sddde.derivs, "_derivatives", capture):
+            got = multilinear_forms(model, [], [0.0] * dim, forms)
+        (stack, orders), = seen
+        reference = reference_sums(forms)
+        assert_rows_are(stack, [summed for summed, *_ in reference])
+        assert orders == [order for _, order, _, _ in reference]
+        assert stack.is_real().tolist() == [reference_is_real(s) for s, *_ in reference]
+        for f, directions in enumerate(forms):  # the same sums skipped, with the same signs
+            expected = np.zeros(dim, dtype=complex)
+            for k, (summed, _, g, sign) in enumerate(reference):
+                if g == f and summed.terms:
+                    expected += sign * float(k + 1)
+            expected /= 2 ** (len(directions) - 1) * math.factorial(len(directions))
+            assert np.array_equal(got[f], expected)
+
+    def test_forms_whose_sums_all_vanish_are_zero(self):
+        # a zero direction leaves no sum with a term: no job to evaluate, and the form is 0
+        model = parse_model('name="sq"\ndim=1\nparameters=[]\ntau_max=1\ndelays=["0"]\n'
+                            'rhs=["x1@1^2"]\n')
+        zero = ExpPoly.zero(1)
+        for directions in ([zero], [zero, zero]):
+            assert multilinear_form(model, [], [0.0], directions).tolist() == [0.0]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_unit_rows_are_the_rescaled_expolys(self, dim, data):
+        fs = data.draw(st.lists(exppoly_st(dim=dim, max_terms=3), min_size=1, max_size=4))
+        fs += [fs[0] * 1e-300, ExpPoly.zero(dim)]
+        seen = []
+        on_nodes = Model.eval_on_nodes
+
+        def capture(model, params, xstar, v, *args):
+            seen.append(v)
+            return on_nodes(model, params, xstar, v, *args)
+
+        with mock.patch.object(Model, "eval_on_nodes", capture):
+            stacked_rows(linear_model(dim), [], [0.0] * dim, [(f, 1) for f in fs])
+        norms = [sup_norm(f, -1.0, 0.0) for f in fs]
+        assert_rows_are(seen[0], [f * (1.0 / norm) for f, norm in zip(fs, norms) if norm != 0.0])
 
 
 class TestSymbolicOracle:

@@ -113,6 +113,24 @@ class TestHopfL1:
         assert stacks == [3, 8]
         assert evals == []
 
+    def test_expoly_count_at_a_hopf_point(self, poscontrol_model, monkeypatch):
+        # ExpPolys only at the API edge: q and its conjugate for hopf_h2, h20 and h11,
+        # then q and qbar for the bracket; the polarization sums, their unit rescales
+        # and the stacks are rows of TermStack arrays
+        created = []
+        init = ExpPoly.__init__
+
+        def counted(self, *args, **kwargs):
+            created.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExpPoly, "__init__", counted)
+        t0 = poscontrol_tau0(4.0)
+        params = poscontrol_model.params_from({"tau0": t0, "s0": 4.0, "k": 1.0, "c": 2.0,
+                                               "gamma": 1.0})
+        hopf_l1(poscontrol_model, params, [4.0, 4.0], np.pi / (2 * t0 + 4.0))
+        assert len(created) <= 6
+
     def test_scalar_worked_example(self, scalar_nf):
         exact = 0.5 * ((2 - 1j) / (1 + 1j * PI_2)).real
         assert scalar_nf.L1 == pytest.approx(exact, abs=1e-7)

@@ -27,18 +27,18 @@ def test_cli_digests_prints_one_line_per_cli_operation():
     lines = proc.stdout.splitlines()
     workloads = [line.split()[:2] for line in lines]
     assert workloads == ([["hopf_curve_l1", "0"]] + [["continuation", "0"]] * 3
-                         + [["readme", "-"]] * 12
+                         + [["readme", "-"]] * 13
                          + [["compiled", name] for name in ("fold_quadratic", "position_control",
                                                             "scalar_nested") for _ in range(7)])
     # the README's CLI runs whose models are bundled, after the seeded operations
-    assert [" ".join(line.split()[2:-1]) for line in lines[4:16]] == [
+    assert [" ".join(line.split()[2:-1]) for line in lines[4:17]] == [
         "eq", "eq --format csv", "roots", "roots --root-count 24", "hopf-nf", "fold-nf", "branch",
-        "branch --format csv", "branch --range=-1:1", "hopf-curve --monitor-l1", "simulate",
-        "simulate --format csv",
+        "branch --format csv", "branch --range=-1:1", "hopf-curve --monitor-l1",
+        "hopf-curve --monitor-l1 c=0.7", "simulate", "simulate --format csv",
     ]
     # then each generated function of each bundled model
-    assert [line.split()[2] for line in lines[16:23]] == [
+    assert [line.split()[2] for line in lines[17:24]] == [
         "f", "delays", "functional", "functional_nodes", "derivs1", "derivs2", "rk4",
     ]
-    assert len({line.split()[-1] for line in lines[16:]}) == 21
+    assert len({line.split()[-1] for line in lines[17:]}) == 21
     assert all(len(line.split()[-1]) == 64 for line in lines)
