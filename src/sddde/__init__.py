@@ -15,6 +15,7 @@ from .derivs import DerivSettings, directional_derivative, multilinear_form
 from .spectral import (
     EigenData,
     Linearization,
+    RootSettings,
     char_matrix,
     char_matrix_deriv,
     characteristic_roots,
@@ -33,7 +34,6 @@ from .normalform import (
 from .continuation import (
     BranchPoint,
     HopfCurvePoint,
-    RootSettings,
     StepSettings,
     continue_branch,
     continue_hopf_curve,

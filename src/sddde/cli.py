@@ -20,7 +20,6 @@ import warnings
 import numpy as np
 
 from .continuation import (
-    RootSettings,
     StepSettings,
     continue_branch,
     continue_hopf_curve,
@@ -31,7 +30,7 @@ from .errors import ModelError, SdddeError
 from .ivp import simulate
 from .model import load_model
 from .normalform import fold_coefficient, hopf_l1
-from .spectral import characteristic_roots, linearize
+from .spectral import RootSettings, characteristic_roots, linearize
 
 
 def _plain(value):

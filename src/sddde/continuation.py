@@ -19,7 +19,9 @@ Hopf curves are continued in two parameters through the extended real
 system {equilibrium residual; Re/Im of Delta(i w) q0; Re/Im of (c.q0 - 1)}
 with the normalization row c frozen per curve. Every Newton step takes the
 exact Jacobian of its system, built from the model's symbolic slot
-derivatives. Each curve point and secant iterate linearizes once and builds
+derivatives. Each y (corrector iterate, curve point or secant iterate) is
+linearized once: its residual and Jacobian share that linearization and
+Delta, Delta' at i omega, and its eigendata the linearization. A point builds
 the eigendata of its pair once, by spectral.hopf_pair at (x, p, i omega):
 that is its simplicity check, and with monitor_l1 both go to hopf_l1 as its
 lin and eig.
@@ -43,9 +45,10 @@ from .errors import (
 )
 from .normalform import hopf_l1
 from .spectral import (
+    RootSettings,
+    _delta_pair,
     _null_vectors,
     char_matrix,
-    char_matrix_deriv,
     characteristic_roots,
     hopf_eigendata,
     hopf_pair,
@@ -74,21 +77,6 @@ class StepSettings:
                 raise SdddeError(f"{name} must be positive and finite")
         if not self.max_points >= 1:
             raise SdddeError("max_points must be at least 1")
-
-
-@dataclass(frozen=True)
-class RootSettings:
-    count: int = 6
-    re_cutoff: float = 2.0
-    cheb_nodes: int = 32
-
-    def __post_init__(self):
-        if not self.count >= 1:
-            raise SdddeError("count must be at least 1")
-        if not math.isfinite(self.re_cutoff):
-            raise SdddeError("re_cutoff must be finite")
-        if not self.cheb_nodes >= 1:
-            raise SdddeError("cheb_nodes must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -458,43 +446,55 @@ def _free_indices(model, free_names):
     return tuple(model.param_names.index(name) for name in names)
 
 
+# The extended Hopf system at one y: its parts, linearization, and Delta and Delta' at i omega
+_HopfState = namedtuple("_HopfState", "x q omega params lin D dD")
+
+
 def _hopf_system(model, pvec_base, free, c_row):
-    """Residual and exact Jacobian of the extended Hopf system, y = [x, Re q, Im q, omega, p1, p2].
+    """Residual, exact Jacobian and state of the extended Hopf system, y = [x, Re q, Im q, omega, p1, p2].
+
+    state(y) is y's _HopfState. The state of the last y is kept, so the
+    residual and the Jacobian at one y share one linearization and one
+    Delta(i omega), and a caller taking eigendata at y can use its lin.
 
     With E_j = exp(-i omega tau_j), w = Delta(i omega) q moves along a state
     component or free parameter z by -sum_j (d_z A_j - i omega d_z tau_j A_j) E_j q.
     """
     n = model.n
+    last = [None, None]   # bytes of the last y, its state
 
-    def unpack(y):
-        pv = _with_param(pvec_base, free, y[3 * n + 1 : 3 * n + 3])
-        return y[:n], y[n : 2 * n] + 1j * y[2 * n : 3 * n], y[3 * n], pv
+    def state(y):
+        key = y.tobytes()
+        if key != last[0]:
+            y = np.array(y, dtype=float)
+            x, omega = y[:n], y[3 * n]
+            pv = _with_param(pvec_base, free, y[3 * n + 1 : 3 * n + 3])
+            lin = linearize(model, pv, x, check_equilibrium=False)
+            last[:] = key, _HopfState(x, y[n : 2 * n] + 1j * y[2 * n : 3 * n], omega, pv, lin,
+                                      *_delta_pair(lin, 1j * omega))
+        return last[1]
 
     def residual(y):
-        x, q, omega, pv = unpack(y)
-        lin = linearize(model, pv, x, check_equilibrium=False)
-        eqres = model.equilibrium_residual(pv, x)
-        w = char_matrix(lin, 1j * omega) @ q
-        norm = c_row @ q - 1.0
-        return np.concatenate([eqres, w.real, w.imag, [norm.real, norm.imag]])
+        s = state(y)
+        w = s.D @ s.q
+        norm = c_row @ s.q - 1.0
+        return np.concatenate([model.equilibrium_residual(s.params, s.x), w.real, w.imag,
+                               [norm.real, norm.imag]])
 
     def jacobian(y):
-        x, q, omega, pv = unpack(y)
-        lin = linearize(model, pv, x, check_equilibrium=False)
-        A, fp = model.frozen_derivatives(pv, x)
-        dA, dtau = model.frozen_derivatives(pv, x, order=2)
+        s = state(y)
+        A, fp = model.frozen_derivatives(s.params, s.x)
+        dA, dtau = model.frozen_derivatives(s.params, s.x, order=2)
         z = list(range(n)) + [n + k for k in free]  # x, then the free parameters
-        E = np.exp(-1j * omega * np.array(lin.taus))
-        dw = (1j * omega * (A @ q).T @ (E[:, None] * dtau[:, z])
-              - np.tensordot(E, dA[..., z], 1).swapaxes(1, 2) @ q)
-        D = char_matrix(lin, 1j * omega)
-        dD = 1j * char_matrix_deriv(lin, 1j * omega) @ q
-        W = np.hstack([dw[:, :n], D, 1j * D, dD[:, None], dw[:, n:]])
+        E = np.exp(-1j * s.omega * np.array(s.lin.taus))
+        dw = (1j * s.omega * (A @ s.q).T @ (E[:, None] * dtau[:, z])
+              - np.tensordot(E, dA[..., z], 1).swapaxes(1, 2) @ s.q)
+        W = np.hstack([dw[:, :n], s.D, 1j * s.D, (1j * s.dD @ s.q)[:, None], dw[:, n:]])
         N = np.concatenate([np.zeros(n), c_row, 1j * c_row, np.zeros(3)])
         eq = np.hstack([A.sum(axis=0), np.zeros((n, 2 * n + 1)), fp[:, free]])
         return np.vstack([eq, W.real, W.imag, N.real, N.imag])
 
-    return residual, jacobian
+    return residual, jacobian, state
 
 
 def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
@@ -514,7 +514,7 @@ def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
     c_row = q0.conj() / (q0.conj() @ q0)
 
     y = np.concatenate([x0, q0.real, q0.imag, [float(omega_guess), pvec[f1], pvec[f2]]])
-    residual, jacobian = _hopf_system(model, pvec, [f1, f2], c_row)
+    residual, jacobian, _ = _hopf_system(model, pvec, [f1, f2], c_row)
     z, _, _ = newton(  # x, q, omega and p1 free; p2 = y[-1] fixed
         lambda z: residual(np.append(z, y[-1])), lambda z: jacobian(np.append(z, y[-1]))[:, :-1],
         y[:-1], tol=1e-11, max_iters=30,
@@ -548,15 +548,13 @@ def continue_hopf_curve(
     pvec_base = model.params_from(assignments)
     n = model.n
     y0, c_row = start_hopf_curve(model, assignments, free_names, x_guess, omega_guess)
-    system = _hopf_system(model, pvec_base, [f1, f2], c_row)
+    residual, jacobian, state = _hopf_system(model, pvec_base, [f1, f2], c_row)
+    system = (residual, jacobian)
     pars = slice(3 * n + 1, 3 * n + 3)
-
-    def params_at(y):
-        return _with_param(pvec_base, [f1, f2], y[pars])
 
     def pair_at(y):
         """Linearization at y and EigenData of its critical pair, which must be simple."""
-        lin = linearize(model, params_at(y), y[:n], check_equilibrium=False)
+        lin = state(y).lin
         try:
             return lin, hopf_pair(lin, 1j * y[3 * n])
         except DegenerateEigenvalueError as err:
@@ -564,8 +562,8 @@ def continue_hopf_curve(
                 f"loss of simplicity of the critical pair along the Hopf curve: {err}"
             ) from None
 
-    def curve_l1(y, lin, eig):
-        return hopf_l1(model, params_at(y), y[:n], eig.omega, settings=deriv_settings, eig=eig,
+    def curve_l1(lin, eig):
+        return hopf_l1(model, lin.params, lin.xstar, eig.omega, settings=deriv_settings, eig=eig,
                        lin=lin).L1
 
     def point_at(y, monitor=monitor_l1):
@@ -575,13 +573,13 @@ def continue_hopf_curve(
             x=y[:n].copy(),
             omega=float(y[3 * n]),
             q0=eig.q0,
-            residual=float(np.max(np.abs(system[0](y)))),
-            L1=curve_l1(y, lin, eig) if monitor else None,
+            residual=float(np.max(np.abs(residual(y)))),
+            L1=curve_l1(lin, eig) if monitor else None,
         )
 
     def steps(sgn):
         """Arclength steps from the nullspace tangent of the extended system."""
-        _, _, Vh = np.linalg.svd(system[1](y0))
+        _, _, Vh = np.linalg.svd(jacobian(y0))
         tangent = Vh[-1]
         # deterministic orientation: first free parameter increases for sgn=+1
         ref = tangent[3 * n + 1]
@@ -598,6 +596,6 @@ def continue_hopf_curve(
                       f"(L1 = {l1:.6g}): no L1_ZERO reported")
         return None
 
-    tests = ([_Test("L1", lambda y: (curve_l1(y, *pair_at(y)),) * 2, l1_zero, pars, 1e-6)]
+    tests = ([_Test("L1", lambda y: (curve_l1(*pair_at(y)),) * 2, l1_zero, pars, 1e-6)]
              if monitor_l1 else [])
     return _continue(system, (y0, point_at(y0)), steps, signs, step.max_points, point_at, tests)

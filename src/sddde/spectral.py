@@ -10,8 +10,10 @@ whose roots are the eigenvalues. Root finding seeds a Chebyshev
 pseudospectral discretization of the generator and refines all seeds in one
 batched Newton on the stacked bordered systems [Delta(lambda) q; c.q - 1] = 0,
 each seed until its residual is below 1e-13 or stops falling below 1e-10 (the
-roundoff floor). A Linearization keeps its seeds and their refinements, so
-roots are computed once per linearization and seed prefix.
+roundoff floor); each step works on the seeds still moving alone. A
+Linearization keeps its seeds and their refinements, so roots are computed
+once per linearization and seed prefix. Delta and Delta' come from one
+exponential per slot (_delta_pair).
 
 One simple-root rule: eigentriple alone decides whether lam is a simple
 root, from one SVD of Delta(lam) that gives (q, p) with p Delta'(lam) q = 1;
@@ -28,7 +30,9 @@ root are solved as one stack, with no ExpPoly built per node.
 
 import warnings
 from dataclasses import dataclass, field
-from math import factorial, perm, pi
+from functools import cache, cached_property
+from math import factorial, isfinite, perm, pi
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,8 +50,8 @@ class Linearization:
     The instance is frozen and its arrays are never written after `linearize`
     builds them, so `characteristic_roots` keeps its root seeds here: per
     cheb_nodes, the sorted generator eigenvalues and the refinement results of
-    the longest seed prefix refined so far. Equality and hashing are by
-    identity; the memo takes no part in repr.
+    the longest seed prefix refined so far, and `_stacks` its slot arrays.
+    Equality and hashing are by identity; neither memo takes part in repr.
     """
 
     A: tuple            # m matrices, each (n, n)
@@ -63,6 +67,12 @@ class Linearization:
     @property
     def tau_span(self):
         return max(self.taus)
+
+    @cached_property
+    def _stacks(self):
+        """The A_j, tau_j A_j and tau_j as arrays over the slots, for _delta_pair."""
+        A, taus = np.array(self.A), np.array(self.taus)
+        return A, taus[:, None, None] * A, taus[:, None, None]
 
 
 def require_equilibrium(model, params, xstar):
@@ -87,35 +97,54 @@ def linearize(model, params, xstar, check_equilibrium=True):
 
 def char_matrix(lin, lam):
     """Delta(lambda) = lambda*I - sum_j A_j exp(-lambda*tau_j), (..., n, n) for an array."""
-    lam = np.asarray(lam)[..., None, None]
-    out = lam * np.eye(lin.n, dtype=complex)
-    for Aj, tau in zip(lin.A, lin.taus):
-        out = out - Aj * np.exp(-lam * tau)
-    return out
+    return _delta_pair(lin, lam)[0]
 
 
 def char_matrix_deriv(lin, lam):
     """d/dlambda of the characteristic matrix: I + sum_j tau_j A_j e^{-lam tau_j}."""
+    return _delta_pair(lin, lam)[1]
+
+
+def _delta_pair(lin, lam):
+    """(Delta(lam), Delta'(lam)) from one exponential per slot, all slots in
+    one call of each product and the sums taken slot by slot."""
     lam = np.asarray(lam)[..., None, None]
-    out = np.eye(lin.n, dtype=complex)
-    for Aj, tau in zip(lin.A, lin.taus):
-        out = out + tau * Aj * np.exp(-lam * tau)
-    return out
+    A, tauA, taus = lin._stacks
+    e = np.exp((-lam)[..., None, :, :] * taus)   # (..., m, 1, 1)
+    terms, dterms = A * e, tauA * e
+    D, dD = lam * _eye(lin.n), _eye(lin.n)
+    for j in range(len(taus)):
+        D = D - terms[..., j, :, :]
+        dD = dD + dterms[..., j, :, :]
+    return D, dD
+
+
+@cache
+def _eye(n):
+    """The complex n x n identity, read-only."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 # ---------------------------------------------------------------------------
 # pseudospectral seeding
 
 
+@cache
 def _cheb(nnodes):
-    """Chebyshev extreme points on [-1, 1] and differentiation matrix."""
+    """Chebyshev extreme points on [-1, 1], differentiation matrix and
+    barycentric weights, read-only."""
     x = np.cos(np.arange(nnodes + 1) * pi / nnodes)
     c = np.hstack([2.0, np.ones(nnodes - 1), 2.0]) * (-1.0) ** np.arange(nnodes + 1)
     X = np.tile(x, (nnodes + 1, 1)).T
     dX = X - X.T
     D = np.outer(c, 1.0 / c) / (dX + np.eye(nnodes + 1))
     D -= np.diag(D.sum(axis=1))
-    return x, D
+    w = np.hstack([0.5, np.ones(nnodes - 1), 0.5]) * (-1.0) ** np.arange(nnodes + 1)
+    for v in (x, D, w):
+        v.flags.writeable = False
+    return x, D, w
 
 
 def _interp_row(theta_nodes, weights, y):
@@ -135,14 +164,15 @@ def generator_eigenvalues(lin, cheb_nodes=32):
     span = lin.tau_span
     if span == 0.0:
         return np.linalg.eigvals(sum(lin.A))
-    x, D = _cheb(cheb_nodes)
+    x, D, w = _cheb(cheb_nodes)
     theta = (x - 1.0) * span / 2.0        # theta_0 = 0, theta_N = -span
     Dth = D * (2.0 / span)
-    M = np.kron(Dth, np.eye(n))
-    w = np.hstack([0.5, np.ones(cheb_nodes - 1), 0.5]) * (-1.0) ** np.arange(cheb_nodes + 1)
-    row = np.zeros((n, n * (cheb_nodes + 1)))
+    size = n * (cheb_nodes + 1)
+    # np.kron(Dth, I) and np.kron(row, A_j), as the products np.kron takes
+    M = (Dth[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(size, size)
+    row = np.zeros((n, size))
     for Aj, tau in zip(lin.A, lin.taus):
-        row += np.kron(_interp_row(theta, w, -tau), Aj)
+        row += (_interp_row(theta, w, -tau)[None, :, None] * Aj[:, None, :]).reshape(n, size)
     M[:n, :] = row
     return np.linalg.eigvals(M)
 
@@ -159,6 +189,12 @@ def _nullity(mat):
     return np.sum(s < _NULLITY_TOL * np.maximum(s[..., :1], 1.0), axis=-1)
 
 
+def _norms(x):
+    """The 2-norm of each row of a complex (k, n) array, with the bits of np.linalg.norm
+    on the row, which takes the same two real dot products."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def _refine_roots(lin, seeds, max_iter=40):
     """Newton on [Delta(lam) q; c.q - 1] from all seeds at once, one stack of
     bordered systems per step. A seed freezes once its residual is below 1e-13,
@@ -172,22 +208,24 @@ def _refine_roots(lin, seeds, max_iter=40):
     n = lin.n
     lam = np.array(seeds, dtype=complex)
     q = np.linalg.svd(char_matrix(lin, lam))[2][:, -1].conj()
-    cc = q.conj()
-    out, live = [None] * lam.size, np.arange(lam.size)
-    last = np.full(lam.size, np.inf)
+    out = [None] * lam.size
+    # the seeds still moving: their indices, iterates, rows c and last residuals
+    live, L, Q, C, last = np.arange(lam.size), lam.copy(), q.copy(), q.conj(), np.inf
     for _ in range(max_iter):
-        D = char_matrix(lin, lam[live])
-        r = np.concatenate([D @ q[live, :, None], cc[live, None] @ q[live, :, None] - 1.0], axis=1)
+        D, dD = _delta_pair(lin, L)
+        r = np.concatenate([D @ Q[:, :, None], C[:, None] @ Q[:, :, None] - 1.0], axis=1)
         size = np.max(np.abs(r), axis=(1, 2))
-        go = ~((size < 1e-13) | ((size < _RESIDUAL_TOL) & (size >= last[live])))
-        last[live] = size
-        live, D, r = live[go], D[go], r[go]
-        if not live.size:
-            break
+        go = ~((size < 1e-13) | ((size < _RESIDUAL_TOL) & (size >= last)))
+        if not go.all():
+            lam[live], q[live] = L, Q
+            live, L, Q, C, D, dD, r, size = (v[go] for v in (live, L, Q, C, D, dD, r, size))
+            if not live.size:
+                break
+        last = size
         J = np.zeros((live.size, n + 1, n + 1), dtype=complex)
         J[:, :n, :n] = D
-        J[:, :n, n:] = char_matrix_deriv(lin, lam[live]) @ q[live, :, None]
-        J[:, n, :n] = cc[live]
+        J[:, :n, n:] = dD @ Q[:, :, None]
+        J[:, n, :n] = C
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:  # solve seed by seed and retire the singular ones
@@ -196,15 +234,17 @@ def _refine_roots(lin, seeds, max_iter=40):
                 try:
                     delta[i] = np.linalg.solve(J[i], -r[i])
                 except np.linalg.LinAlgError:
-                    out[k] = ConvergenceError(f"singular bordered system at lambda={lam[k]:.6g}")
+                    out[k] = ConvergenceError(f"singular bordered system at lambda={L[i]:.6g}")
             keep = np.array([out[k] is None for k in live])
-            live, delta = live[keep], delta[keep]
-        q[live] = q[live] + delta[:, :n, 0]
-        lam[live] = lam[live] + delta[:, n, 0]
-    q = q / np.array([np.linalg.norm(v) for v in q]).reshape(-1, 1)
-    res = char_matrix(lin, lam) @ q[:, :, None]
+            lam[live], q[live] = L, Q
+            live, L, Q, C, last, delta = (v[keep] for v in (live, L, Q, C, last, delta))
+        Q = Q + delta[:, :n, 0]
+        L = L + delta[:, n, 0]
+    lam[live], q[live] = L, Q
+    q = q / _norms(q)[:, None]
+    res = _norms((char_matrix(lin, lam) @ q[:, :, None])[..., 0])
     for k in [k for k, err in enumerate(out) if err is None]:
-        residual = float(np.linalg.norm(res[k, :, 0]))
+        residual = float(res[k])
         out[k] = ConvergenceError(
             f"root refinement stalled near lambda={lam[k]:.6g} (residual {residual:.2e})"
         ) if residual > _RESIDUAL_TOL else (complex(lam[k]), q[k], residual)
@@ -219,12 +259,33 @@ def refine_root(lin, lam0, max_iter=40):
     return result
 
 
+@dataclass(frozen=True)
+class RootSettings:
+    """count, re_cutoff and cheb_nodes of characteristic_roots, checked once for
+    the CLI and the library alike."""
+
+    count: int = 6
+    re_cutoff: float = 2.0
+    cheb_nodes: int = 32
+
+    def __post_init__(self):
+        for name in ("count", "cheb_nodes"):
+            if not isinstance(getattr(self, name), Integral):
+                raise SdddeError(f"{name} must be an integer")
+        if not self.count >= 1:
+            raise SdddeError("count must be at least 1")
+        if not (isinstance(self.re_cutoff, Real) and isfinite(self.re_cutoff)):
+            raise SdddeError("re_cutoff must be finite")
+        if not self.cheb_nodes >= 1:
+            raise SdddeError("cheb_nodes must be at least 1")
+
+
 def characteristic_roots(lin, count=8, re_cutoff=2.0, cheb_nodes=32):
     """Roots of det Delta with Re >= -re_cutoff, sorted by descending real part.
 
     Returns a list of (root, multiplicity); multiplicity is the numerical
     nullity of Delta at the root. Fewer roots than requested, or dropped
-    seeds, are reported as warnings.
+    seeds, are reported as warnings; the arguments are checked by RootSettings.
 
     The seeds with Re >= -re_cutoff - 0.5 are a prefix of the generator
     eigenvalues sorted by descending real part. `lin` keeps the seeds and the
@@ -232,8 +293,7 @@ def characteristic_roots(lin, count=8, re_cutoff=2.0, cheb_nodes=32):
     the seeds beyond it; as refinement is per seed, every call returns what it
     returns on a fresh linearization.
     """
-    if count < 1:
-        raise SdddeError("count must be >= 1")
+    RootSettings(count, re_cutoff, cheb_nodes)
     if cheb_nodes not in lin._seeds:
         seeds = generator_eigenvalues(lin, cheb_nodes)
         order = np.lexsort((-seeds.imag, -seeds.real))  # descending Re, ties by Im
@@ -320,7 +380,7 @@ def hopf_pair(lin, lam):
     """EigenData of the simple pair +-i w, w = |Im lam|, from eigentriple at
     i w; its "real_part" residual is |Re lam|."""
     omega = abs(lam.imag)
-    D, dD = char_matrix(lin, 1j * omega), char_matrix_deriv(lin, 1j * omega)
+    D, dD = _delta_pair(lin, 1j * omega)
     q0, p0 = eigentriple(D, dD)
     residuals = {
         "right": float(np.linalg.norm(D @ q0)),
@@ -476,7 +536,7 @@ def spectral_projection(lin, critical, v, radius=None):
         sizes = [np.max(np.abs(mk)) * span**k / factorial(k) for k, mk in enumerate(moments)]
         tol = _MOMENT_TOL * (1.0 + sizes[0])
         try:
-            eigentriple(char_matrix(lin, z), char_matrix_deriv(lin, z))
+            eigentriple(*_delta_pair(lin, z))
             keep = 1  # a simple root: M_0 only
         except DegenerateEigenvalueError:  # any other root: its Jordan chain
             keep = next((k for k in range(1, _MOMENTS) if sizes[k] <= tol), _MOMENTS)

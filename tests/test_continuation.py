@@ -20,7 +20,8 @@ from sddde import (
     parse_model,
     solve_equilibrium,
 )
-from sddde.spectral import refine_root
+from sddde.continuation import _hopf_system, _with_param, start_hopf_curve
+from sddde.spectral import char_matrix, char_matrix_deriv, hopf_pair, linearize, refine_root
 
 PI_2 = np.pi / 2
 
@@ -372,6 +373,87 @@ class TestHopfCurve:
             assert abs(pa.params[0] - pb.params[0]) <= 1e-8
             assert abs(pa.params[1] - pb.params[1]) <= 1e-8
             assert abs(pa.omega - pb.omega) <= 1e-8
+
+
+def _hopf_system_fresh(model, pvec_base, free, c_row):
+    """The extended Hopf system with a fresh linearization in every call of the
+    residual and of the Jacobian, and Delta, Delta' from char_matrix and
+    char_matrix_deriv: the oracle of the shared state."""
+    n = model.n
+
+    def unpack(y):
+        pv = _with_param(pvec_base, free, y[3 * n + 1 : 3 * n + 3])
+        return y[:n], y[n : 2 * n] + 1j * y[2 * n : 3 * n], y[3 * n], pv
+
+    def residual(y):
+        x, q, omega, pv = unpack(y)
+        lin = linearize(model, pv, x, check_equilibrium=False)
+        w = char_matrix(lin, 1j * omega) @ q
+        norm = c_row @ q - 1.0
+        return np.concatenate([model.equilibrium_residual(pv, x), w.real, w.imag,
+                               [norm.real, norm.imag]])
+
+    def jacobian(y):
+        x, q, omega, pv = unpack(y)
+        lin = linearize(model, pv, x, check_equilibrium=False)
+        A, fp = model.frozen_derivatives(pv, x)
+        dA, dtau = model.frozen_derivatives(pv, x, order=2)
+        z = list(range(n)) + [n + k for k in free]
+        E = np.exp(-1j * omega * np.array(lin.taus))
+        dw = (1j * omega * (A @ q).T @ (E[:, None] * dtau[:, z])
+              - np.tensordot(E, dA[..., z], 1).swapaxes(1, 2) @ q)
+        D = char_matrix(lin, 1j * omega)
+        dD = 1j * char_matrix_deriv(lin, 1j * omega) @ q
+        W = np.hstack([dw[:, :n], D, 1j * D, dD[:, None], dw[:, n:]])
+        N = np.concatenate([np.zeros(n), c_row, 1j * c_row, np.zeros(3)])
+        eq = np.hstack([A.sum(axis=0), np.zeros((n, 2 * n + 1)), fp[:, free]])
+        return np.vstack([eq, W.real, W.imag, N.real, N.imag])
+
+    return residual, jacobian
+
+
+class TestHopfState:
+    """One linearization per y, shared by the residual, the Jacobian and the eigendata."""
+
+    @pytest.fixture(scope="class")
+    def start(self, poscontrol_model, poscontrol_ref):
+        y0, c_row = start_hopf_curve(poscontrol_model, poscontrol_ref, ("tau0", "s0"),
+                                     [4.0, 4.0], np.pi / 6)
+        return y0, c_row, poscontrol_model.params_from(poscontrol_ref)
+
+    def test_system_is_the_fresh_system(self, poscontrol_model, start):
+        y0, c_row, pvec = start
+        shared = _hopf_system(poscontrol_model, pvec, [0, 1], c_row)
+        fresh = _hopf_system_fresh(poscontrol_model, pvec, [0, 1], c_row)
+        y1 = y0 + 1e-3 * np.random.default_rng(5).standard_normal(y0.size)
+        for y in (y0, y1, y1, y0):
+            for f, g in zip(shared[:2], fresh):   # the residual, then the Jacobian at the same y
+                assert f(y).tobytes() == g(y).tobytes()
+        y2 = y1 + 1e-4   # the Jacobian first
+        assert shared[1](y2).tobytes() == fresh[1](y2).tobytes()
+        assert shared[0](y2).tobytes() == fresh[0](y2).tobytes()
+
+    def test_eigendata_is_the_fresh_eigendata(self, poscontrol_model, start):
+        y0, c_row, pvec = start
+        s = _hopf_system(poscontrol_model, pvec, [0, 1], c_row)[2](y0)
+        eig = hopf_pair(s.lin, 1j * s.omega)
+        ref = hopf_pair(linearize(poscontrol_model, s.params, y0[:2], check_equilibrium=False),
+                        1j * y0[6])
+        assert eig.omega == ref.omega and eig.residuals == ref.residuals
+        assert eig.q0.tobytes() == ref.q0.tobytes() and eig.p0.tobytes() == ref.p0.tobytes()
+
+    def test_no_y_is_linearized_twice_in_a_row(self, poscontrol_model, poscontrol_ref,
+                                               monkeypatch):
+        calls = _counting(monkeypatch, "linearize")
+        continue_hopf_curve(poscontrol_model, poscontrol_ref, ("tau0", "s0"), [4.0, 4.0],
+                            0.52, step=StepSettings(initial=0.25, max_points=3),
+                            monitor_l1=True)
+        keys = [(np.asarray(params).tobytes(), np.asarray(x).tobytes())
+                for _, params, x, *_ in calls]
+        # only at the start: start_hopf_curve linearizes at its guess for the null
+        # vectors and then at its first Newton iterate (other q and omega), and the
+        # curve's first point is its last iterate, linearized again by the curve
+        assert len(keys) > 10 and sum(a == b for a, b in zip(keys, keys[1:])) <= 2
 
 
 def _counting(monkeypatch, name):

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from sddde import (
     ConvergenceError,
     DegenerateEigenvalueError,
     ExpPoly,
     NumericalError,
+    SdddeError,
     char_matrix,
     char_matrix_deriv,
     characteristic_roots,
@@ -26,6 +28,9 @@ from sddde import spectral
 from sddde.spectral import (
     Linearization,
     _boundary_data,
+    _delta_pair,
+    _norms,
+    _nullity,
     _refine_roots,
     adjoint_coordinate,
     eigentriple,
@@ -337,6 +342,21 @@ def _refine_roots_absolute(lin, seeds, max_iter=40):
             else (complex(lam[k]), q[k], float(res[k])) for k in range(lam.size)]
 
 
+def _count_steps(monkeypatch):
+    """Stacked Newton steps of _refine_roots: each evaluates _delta_pair once, and
+    so does the last pass of a call's loop, where every seed has stopped, so the
+    count is an upper bound. char_matrix keeps the uncounted kernel."""
+    steps, inner = [], spectral._delta_pair
+
+    def counted(lin, lam):
+        steps.append(np.size(lam))
+        return inner(lin, lam)
+
+    monkeypatch.setattr(spectral, "_delta_pair", counted)
+    monkeypatch.setattr(spectral, "char_matrix", lambda lin, lam: inner(lin, lam)[0])
+    return steps
+
+
 class TestRoundoffFloorStop:
     @pytest.mark.parametrize("name,setting", CRITERION6)
     def test_same_fate_as_the_absolute_stop(self, name, setting, scalar_model, poscontrol_model):
@@ -352,15 +372,169 @@ class TestRoundoffFloorStop:
 
     def test_converged_seeds_stop_at_the_floor(self, scalar_model, monkeypatch):
         lin = _equilibrium_lin(scalar_model, -1.5)
-        steps = []   # each stacked Newton step calls char_matrix_deriv once
-
-        def counted(lin, lam):
-            steps.append(np.size(lam))
-            return char_matrix_deriv(lin, lam)
-
-        monkeypatch.setattr(spectral, "char_matrix_deriv", counted)
+        steps = _count_steps(monkeypatch)
         characteristic_roots(lin, count=6, re_cutoff=2.0)
         assert 0 < len(steps) <= 8   # 40 with the absolute stop alone
+
+
+def _walk_whole_prefix(lin, count, re_cutoff, cheb_nodes=32):
+    """characteristic_roots as a plain walk: the stop at 4*count roots, every
+    seed with Re >= -re_cutoff - 0.5 refined in one batch, the dedup as a
+    generator over the roots found, and no memo. Returns (roots, warning
+    messages)."""
+    seeds = generator_eigenvalues(lin, cheb_nodes)
+    seeds = seeds[np.lexsort((-seeds.imag, -seeds.real))]
+    seeds = seeds[: np.count_nonzero(seeds.real >= -re_cutoff - 0.5)]
+    found, messages = [], []
+    for seed, result in zip(seeds, _refine_roots(lin, seeds)):
+        if len(found) >= 4 * count:
+            break
+        if isinstance(result, ConvergenceError):
+            messages.append(f"dropped root seed {seed:.4g}: {result}")
+            continue
+        lam = result[0]
+        if lam.real < -re_cutoff:
+            continue
+        if any(abs(lam - other) < 1e-8 * (1.0 + abs(other)) for other in found):
+            continue
+        found.append(lam)
+        if abs(lam.imag) > 1e-9:
+            found.append(lam.conjugate())
+    found.sort(key=lambda z: (-z.real, abs(z.imag), -np.sign(z.imag)))
+    found = found[:count] if len(found) > count else found
+    if found and abs(found[-1].imag) > 1e-9 and found[-1].conjugate() not in found:
+        found.append(found[-1].conjugate())
+        found.sort(key=lambda z: (-z.real, abs(z.imag), -np.sign(z.imag)))
+    if len(found) < count:
+        messages.append(f"requested {count} roots, found {len(found)}")
+    roots = [(lam, int(k)) for lam, k in zip(found, _nullity(char_matrix(lin, found)))]
+    return roots, messages
+
+
+def _roots_and_messages(lin, count, cutoff):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        roots = characteristic_roots(lin, count=count, re_cutoff=cutoff)
+    return roots, [str(w.message) for w in caught]
+
+
+def _root_bytes(roots):
+    return (np.array([z for z, _ in roots], dtype="<c16").tobytes(),
+            [k for _, k in roots])
+
+
+def _assert_same_as_plain_walk(lin, count, cutoff):
+    """The same roots, bit for bit, multiplicities and warnings as the plain
+    walk on a twin of lin."""
+    twin = Linearization(lin.A, lin.taus, lin.params, lin.xstar)
+    roots, messages = _roots_and_messages(lin, count, cutoff)
+    ref_roots, ref_messages = _walk_whole_prefix(twin, count, cutoff)
+    assert _root_bytes(roots) == _root_bytes(ref_roots)
+    assert messages == ref_messages
+
+
+@st.composite
+def constant_delay_lins(draw):
+    """A Linearization with n = 1..3, one to four delays in (0, 10] and entries in [-2, 2]."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+    A = tuple(np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+              for _ in range(m + 1))
+    taus = (0.0,) + tuple(draw(st.floats(0.05, 10.0)) for _ in range(m))
+    return Linearization(A, taus, np.zeros(0), np.zeros(n))
+
+
+class TestPlainWalk:
+    """characteristic_roots returns what the plain walk over every seed above
+    the cutoff returns."""
+
+    @pytest.mark.parametrize("count,cutoff", [(6, 3.0), (12, 3.2), (24, 3.0)])
+    @pytest.mark.parametrize("name,setting", CRITERION6)
+    def test_criterion6_roots_match_the_plain_walk(self, name, setting, count, cutoff,
+                                                   scalar_model, poscontrol_model):
+        lin = _equilibrium_lin(scalar_model if name == "scalar_nested" else poscontrol_model,
+                               setting)
+        _assert_same_as_plain_walk(lin, count, cutoff)
+
+    @given(lin=constant_delay_lins(), count=st.integers(2, 12), cutoff=st.floats(1.0, 3.0))
+    @settings(max_examples=60)
+    def test_random_roots_match_the_plain_walk(self, lin, count, cutoff):
+        _assert_same_as_plain_walk(lin, count, cutoff)
+
+
+class TestRootArguments:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"cheb_nodes": 0}, "cheb_nodes must be at least 1"),
+        ({"re_cutoff": float("nan")}, "re_cutoff must be finite"),
+        ({"re_cutoff": "2"}, "re_cutoff must be finite"),
+        ({"count": 2.5}, "count must be an integer"),
+        ({"cheb_nodes": 32.0}, "cheb_nodes must be an integer"),
+    ])
+    def test_bad_arguments_are_refused(self, scalar_lin, kwargs, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SdddeError, match=message):
+                characteristic_roots(scalar_lin, **kwargs)
+        assert not caught
+
+
+def _char_matrix_loop(lin, lam):
+    """lambda I - sum_j A_j e^{-lam tau_j}, as char_matrix once computed it alone."""
+    lam = np.asarray(lam)[..., None, None]
+    out = lam * np.eye(lin.n, dtype=complex)
+    for Aj, tau in zip(lin.A, lin.taus):
+        out = out - Aj * np.exp(-lam * tau)
+    return out
+
+
+def _char_matrix_deriv_loop(lin, lam):
+    """I + sum_j tau_j A_j e^{-lam tau_j}, as char_matrix_deriv once computed it alone."""
+    lam = np.asarray(lam)[..., None, None]
+    out = np.eye(lin.n, dtype=complex)
+    for Aj, tau in zip(lin.A, lin.taus):
+        out = out + tau * Aj * np.exp(-lam * tau)
+    return out
+
+
+LAMBDAS = st.lists(st.one_of(
+    st.just(0j),
+    st.floats(-50.0, 50.0).map(lambda w: complex(0.0, w)),
+    st.builds(complex, st.floats(-5.0, 5.0), st.floats(-50.0, 50.0)),
+), min_size=1, max_size=6)
+
+
+class TestDeltaPair:
+    """Delta and Delta' from one exponential per slot keep the bits of the
+    separate loops that computed them before."""
+
+    @staticmethod
+    def _assert_bits(lin, lams):
+        for lam in (np.array(lams), lams[0]):
+            D, dD = _delta_pair(lin, lam)
+            assert D.tobytes() == _char_matrix_loop(lin, lam).tobytes()
+            assert dD.tobytes() == _char_matrix_deriv_loop(lin, lam).tobytes()
+
+    @given(index=st.integers(0, len(CRITERION6) - 1), lams=LAMBDAS)
+    @settings(max_examples=40)
+    def test_bundled_models(self, index, lams, scalar_model, poscontrol_model):
+        name, setting = CRITERION6[index]
+        lin = _equilibrium_lin(scalar_model if name == "scalar_nested" else poscontrol_model,
+                               setting)
+        self._assert_bits(lin, lams)
+
+    @given(lin=constant_delay_lins(), lams=LAMBDAS)
+    @settings(max_examples=40)
+    def test_random_linearizations(self, lin, lams):
+        self._assert_bits(lin, lams)
+
+
+def test_row_norms_match_linalg_norm():
+    rng = np.random.default_rng(7)
+    for n in range(1, 5):
+        x = (rng.standard_normal((2000, n)) + 1j * rng.standard_normal((2000, n))) \
+            * 10.0 ** rng.uniform(-6, 6, (2000, 1))
+        for rows in (x, x[::3], np.asfortranarray(x)):
+            assert _norms(rows).tobytes() == np.array([np.linalg.norm(v) for v in rows]).tobytes()
 
 
 class TestRootMemo:

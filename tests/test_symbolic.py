@@ -188,11 +188,11 @@ class TestNewtonJacobians:
         y0, c_row = start_hopf_curve(model, poscontrol_ref, ("tau0", "s0"), [4.0, 4.0], np.pi / 6)
         pvec = model.params_from(poscontrol_ref)
         rng = np.random.default_rng(3)
-        system = _hopf_system(model, pvec, [0, 1], c_row)
+        system = _hopf_system(model, pvec, [0, 1], c_row)[:2]
         assert_close_to_differences(system, y0 + 0.05 * rng.standard_normal(y0.size))
         # state-dependent delays reading state-dependent slots, both parameters free
         c_row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        system = _hopf_system(all_rules_model, np.array([0.7, 0.4]), [1, 0], c_row)
+        system = _hopf_system(all_rules_model, np.array([0.7, 0.4]), [1, 0], c_row)[:2]
         y = np.array([0.3, -0.5, 0.6, 0.2, -0.1, 0.4, 1.3, 0.4, 0.7])
         assert_close_to_differences(system, y)
 
