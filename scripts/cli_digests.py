@@ -85,7 +85,8 @@ def compiled_digests(path):
                 model.frozen_derivatives([1.0] * model.n_p, [1.0] * model.n, order)
             except NumericalError:
                 pass
-        model.rk4_steps([1.0] * model.n_p, None, 1.0, 1.0, 0, [], [])  # no steps
+        empty = [[]] * model.n  # no steps: an empty node list for each component
+        model.rk4_steps([1.0] * model.n_p, None, 1.0, 1.0, 0, empty, empty)
     finally:
         sddde.model._compile = compile_
     assert len(sources) == len(COMPILED), f"{path.name}: {len(sources)} generated functions"

@@ -450,18 +450,22 @@ def _free_indices(model, free_names):
 _HopfState = namedtuple("_HopfState", "x q omega params lin D dD")
 
 
-def _hopf_system(model, pvec_base, free, c_row):
+def _hopf_system(model, pvec_base, free, c_row, lin=None):
     """Residual, exact Jacobian and state of the extended Hopf system, y = [x, Re q, Im q, omega, p1, p2].
 
     state(y) is y's _HopfState. The state of the last y is kept, so the
     residual and the Jacobian at one y share one linearization and one
-    Delta(i omega), and a caller taking eigendata at y can use its lin.
+    Delta(i omega), and a caller taking eigendata at y can use its lin. The
+    last linearization is kept apart, keyed on (x, p) only: a y that moves
+    only q or omega gets new Delta and Delta' at i omega but no new
+    linearization. lin, a linearization the caller already has, starts it.
 
     With E_j = exp(-i omega tau_j), w = Delta(i omega) q moves along a state
     component or free parameter z by -sum_j (d_z A_j - i omega d_z tau_j A_j) E_j q.
     """
     n = model.n
     last = [None, None]   # bytes of the last y, its state
+    lins = [None if lin is None else lin.xstar.tobytes() + lin.params.tobytes(), lin]
 
     def state(y):
         key = y.tobytes()
@@ -469,7 +473,10 @@ def _hopf_system(model, pvec_base, free, c_row):
             y = np.array(y, dtype=float)
             x, omega = y[:n], y[3 * n]
             pv = _with_param(pvec_base, free, y[3 * n + 1 : 3 * n + 3])
-            lin = linearize(model, pv, x, check_equilibrium=False)
+            lin_key = x.tobytes() + pv.tobytes()
+            if lin_key != lins[0]:
+                lins[:] = lin_key, linearize(model, pv, x, check_equilibrium=False)
+            lin = lins[1]
             last[:] = key, _HopfState(x, y[n : 2 * n] + 1j * y[2 * n : 3 * n], omega, pv, lin,
                                       *_delta_pair(lin, 1j * omega))
         return last[1]
@@ -502,6 +509,15 @@ def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
 
     Returns (y, c_row) where y stacks [x, Re q, Im q, omega, p1, p2].
     """
+    return _start_hopf_curve(model, assignments, free_names, x_guess, omega_guess)[:2]
+
+
+def _start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
+    """(y, c_row, system) of start_hopf_curve, system the _hopf_system it solved, at y last.
+
+    The linearization at the guess, taken for the null vectors, starts the
+    system, so the first Newton iterate (the same x and p) reuses it.
+    """
     f1, f2 = _free_indices(model, free_names)
     pvec = model.params_from(assignments)
     x0 = np.asarray(x_guess, dtype=float)
@@ -514,12 +530,13 @@ def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
     c_row = q0.conj() / (q0.conj() @ q0)
 
     y = np.concatenate([x0, q0.real, q0.imag, [float(omega_guess), pvec[f1], pvec[f2]]])
-    residual, jacobian, _ = _hopf_system(model, pvec, [f1, f2], c_row)
+    system = _hopf_system(model, pvec, [f1, f2], c_row, lin)
+    residual, jacobian, _ = system
     z, _, _ = newton(  # x, q, omega and p1 free; p2 = y[-1] fixed
         lambda z: residual(np.append(z, y[-1])), lambda z: jacobian(np.append(z, y[-1]))[:, :-1],
         y[:-1], tol=1e-11, max_iters=30,
     )
-    return np.append(z, y[-1]), c_row
+    return np.append(z, y[-1]), c_row, system
 
 
 def continue_hopf_curve(
@@ -545,10 +562,10 @@ def continue_hopf_curve(
     """
     f1, f2 = _free_indices(model, free_names)
     signs = _leg_signs(direction)
-    pvec_base = model.params_from(assignments)
     n = model.n
-    y0, c_row = start_hopf_curve(model, assignments, free_names, x_guess, omega_guess)
-    residual, jacobian, state = _hopf_system(model, pvec_base, [f1, f2], c_row)
+    # the system of the start, whose state is already at y0, newton's last iterate
+    y0, _, (residual, jacobian, state) = _start_hopf_curve(model, assignments, free_names,
+                                                           x_guess, omega_guess)
     system = (residual, jacobian)
     pars = slice(3 * n + 1, 3 * n + 3)
 

@@ -365,8 +365,8 @@ _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError
 _ZERO = Num(0.0)
 
 
-def _emit(node, funcs=_MATH_FUNCS, names=None):
-    """Python source of one expression: P[k] for parameter k, x<i>_<j> for x<i>@<j>.
+def _emit(node, funcs=_MATH_FUNCS, names=None, params="P[{}]"):
+    """Python source of one expression: params.format(k) for parameter k, x<i>_<j> for x<i>@<j>.
 
     names maps the ids of the interned subexpressions already bound to a local
     to that local's name.
@@ -376,17 +376,18 @@ def _emit(node, funcs=_MATH_FUNCS, names=None):
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Param):
-        return f"P[{node.index}]"
+        return params.format(node.index)
     if isinstance(node, State):
         return f"x{node.comp}_{node.slot}"
     if isinstance(node, Neg):
-        return f"(-{_emit(node.arg, funcs, names)})"
+        return f"(-{_emit(node.arg, funcs, names, params)})"
     if isinstance(node, Pow):
-        return f"({_emit(node.base, funcs, names)})**({node.power})"
+        return f"({_emit(node.base, funcs, names, params)})**({node.power})"
     if isinstance(node, Bin):
-        return f"({_emit(node.left, funcs, names)} {node.op} {_emit(node.right, funcs, names)})"
+        return (f"({_emit(node.left, funcs, names, params)} {node.op} "
+                f"{_emit(node.right, funcs, names, params)})")
     if isinstance(node, Call):
-        return f"{funcs[node.func]}({_emit(node.arg, funcs, names)})"
+        return f"{funcs[node.func]}({_emit(node.arg, funcs, names, params)})"
     raise ModelError(f"cannot compile node {node!r}")
 
 
@@ -466,11 +467,12 @@ def _compile_frozen(body, shapes):
 
 
 # slot j of a float stage at time t read from the dense state, in ivp._hermite's operations.
-# The range test is _checked_delay's; the clamp gives the bits of min(max(tau, 0.0), tau_max),
-# -0.0 included, without two builtin calls, and NaN never reaches it.
+# The range test is _checked_delay's, with tau_hi = tau_max + 1e-12; the clamp gives the bits
+# of min(max(tau, 0.0), tau_max), -0.0 included, without two builtin calls, and NaN never
+# reaches it.
 _DENSE_READ = """\
 tau = {tau}
-if not -1e-12 <= tau <= tau_max + 1e-12:
+if not -1e-12 <= tau <= tau_hi:
     raise DelayRangeError({j}, tau, tau_max)
 theta = -(0.0 if tau < 0.0 else tau_max if tau > tau_max else tau)
 if theta == 0.0:
@@ -487,10 +489,18 @@ else:
             s = min((time - k * h) / h, 1.0)
             i = k
             used = True
-        v0, d0, v1, d1 = y[i], yp[i], y[i + 1], yp[i + 1]
         s2 = s * s
         s3 = s2 * s
-        a, b, c, d = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h"""
+        a = 2 * s3 - 3 * s2 + 1
+        b = (s3 - 2 * s2 + s) * h
+        c = -2 * s3 + 3 * s2
+        d = (s3 - s2) * h"""
+# parameter k of the float code, bound once per call by _bind_params
+_PARAM_LOCAL = "p{}"
+# how a float stage reads component i (c = i - 1) of node row of the values (v = "y") or the
+# slopes (v = "yp"): from lists of n floats per node, or from one flat list per component
+_ROW_NODES = "{v}[{row}][{c}]"
+_FLAT_NODES = "{v}_{i}[{row}]"
 
 
 def _locals(name, n):
@@ -498,21 +508,35 @@ def _locals(name, n):
     return " ".join(f"{name.format(i=i)}," for i in range(1, n + 1))
 
 
-def _float_stage(n, delay_exprs):
+def _bind_params(exprs):
+    """Lines binding the local p<k> to P[k] for each parameter k that exprs read."""
+    order = []
+    for e in exprs:
+        _postorder(e, {}, order)
+    return [f"{_PARAM_LOCAL.format(k)} = P[{k}]"
+            for k in sorted({e.index for e in order if isinstance(e, Param)})]
+
+
+def _float_stage(n, delay_exprs, nodes):
     """Body lines reading slots 2..m of one float stage at time t, slot 1 in x<i>_1.
 
     Delays are checked left to right, clamped into [0, tau_max], and slot j
     is read at theta = -tau_j: slot 1 at theta == 0, hist(t + theta) as n
-    floats up to time 0, else the cubic Hermite over nodes y[i] and slopes
-    yp[i] at times i*h. Nodes i <= k are completed; y[k + 1] is the
-    tentative next node, read with s capped at 1, and reading it sets used.
+    floats up to time 0, else the cubic Hermite over nodes y and slopes yp
+    at times i*h, each read as nodes (_ROW_NODES or _FLAT_NODES) gives.
+    Nodes i <= k are completed; node k + 1 is the tentative next node, read
+    with s capped at 1, and reading it sets used. The caller binds tau_hi
+    and the parameters (_bind_params).
     """
     body = []
     for j, e in enumerate(delay_exprs[1:], start=2):
-        body += _DENSE_READ.format(j=j, tau=_emit(e), n=n, xs=_locals(f"x{{i}}_{j}", n),
+        body += _DENSE_READ.format(j=j, tau=_emit(e, params=_PARAM_LOCAL), n=n,
+                                   xs=_locals(f"x{{i}}_{j}", n),
                                    x1=_locals("x{i}_1", n)).splitlines()
-        body += [f"        x{i}_{j} = a * v0[{i - 1}] + b * d0[{i - 1}] + c * v1[{i - 1}]"
-                 f" + d * d1[{i - 1}]" for i in range(1, n + 1)]
+        for i in range(1, n + 1):
+            y0, m0, y1, m1 = (nodes.format(v=v, row=row, i=i, c=i - 1)
+                              for row in ("i", "i + 1") for v in ("y", "yp"))
+            body.append(f"        x{i}_{j} = a * {y0} + b * {m0} + c * {y1} + d * {m1}")
     return body
 
 
@@ -520,43 +544,55 @@ def _compile_functional(n, delay_exprs, rhs_exprs, nodes=False):
     """F(u) as straight-line code: delays left to right, each checked.
 
     On floats, f(P, hist, tau_max, x0, t, h, k, y, yp) -> (F, used) is the
-    _float_stage at time t of the IVP with slot 1 at x0. With nodes=True,
-    f(P, hist, tau_max, x0) runs numpy on arrays of complex node values.
+    _float_stage at time t of the IVP with slot 1 at x0, over nodes y and
+    slopes yp as lists of n floats. With nodes=True, f(P, hist, tau_max,
+    x0) runs numpy on arrays of complex node values.
     """
-    funcs = _NUMPY_FUNCS if nodes else _MATH_FUNCS
-    rhs = ", ".join(_emit(e, funcs) for e in rhs_exprs)
+    funcs, params = (_NUMPY_FUNCS, "P[{}]") if nodes else (_MATH_FUNCS, _PARAM_LOCAL)
+    rhs = ", ".join(_emit(e, funcs, params=params) for e in rhs_exprs)
     body = [f"{_locals('x{i}_1', n)} = x0"]
     if nodes:
         body += [f"{_locals(f'x{{i}}_{j}', n)} = hist(-_complex_delay({j}, {_emit(e, funcs)}, "
                  f"tau_max))" for j, e in enumerate(delay_exprs[1:], start=2)]
         return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
-    body += ["used = False", *_float_stage(n, delay_exprs), f"return [{rhs}], used"]
+    body = [*_bind_params([*delay_exprs, *rhs_exprs]), "tau_hi = tau_max + 1e-12", *body,
+            "used = False", *_float_stage(n, delay_exprs, _ROW_NODES), f"return [{rhs}], used"]
     return _compile("P, hist, tau_max, x0, t, h, k, y, yp", body)
 
 
 def _compile_rk4(n, delay_exprs, rhs_exprs):
     """The fixed-step RK4 loop of ivp.simulate as one function of straight-line stages.
 
-    f(P, hist, tau_max, h, nsteps, y, yp) -> sweeps appends nodes 1..nsteps
-    to y and their slopes to yp, lists of n floats that start with node 0
-    and its slope. Step k appends node k again as the tentative node k + 1,
-    then sweeps: the four stages and the end slope, each a _float_stage with
-    its state in x<i>_1 and its slope in scalar locals, then the new
-    tentative node and slope replace the old. A sweep that read no
-    tentative node, or moved none of its values by more than _SWEEP_TOL,
-    ends the step; _SWEEP_LIMIT sweeps that do not is a ConvergenceError.
-    The arithmetic is that of the list loop over _compile_functional that
-    this replaced, operation for operation, so the bits are the same.
+    f(P, hist, tau_max, h, nsteps, y, yp) -> sweeps: y and yp are n lists
+    each, one per component, holding the values y_i and slopes yp_i of the
+    nodes, node 0 first; the loop appends nodes 1..nsteps to them. One flat
+    list of floats per component keeps the dense state free of per-step
+    objects: a step appends and replaces floats, which the cyclic garbage
+    collector does not track, where a list per node would be tracked,
+    promoted and scanned again at every collection. tau_max + 1e-12 and
+    the parameters are bound to locals once per call.
+
+    Step k appends node k again as the tentative node k + 1, then sweeps:
+    the four stages and the end slope, each a _float_stage with its state in
+    x<i>_1 and its slope in scalar locals, then the new tentative node and
+    slope replace the old. A sweep that read no tentative node, or moved
+    none of its values by more than _SWEEP_TOL, ends the step; _SWEEP_LIMIT
+    sweeps that do not is a ConvergenceError. The arithmetic is that of the
+    list loop over _compile_functional that this replaced, operation for
+    operation, so the bits are the same.
     """
     comps = range(1, n + 1)
-    rhs = ", ".join(_emit(e) for e in rhs_exprs)
+    rhs = [_emit(e, params=_PARAM_LOCAL) for e in rhs_exprs]
+
+    def each(line):  # line.format(i=i) for every component i
+        return [line.format(i=i) for i in comps]
 
     def stage(state, slope):  # the state of component i is state.format(i=i)
-        return ([f"x{i}_1 = {state.format(i=i)}" for i in comps]
-                + _float_stage(n, delay_exprs) + [f"{_locals(slope, n)} = {rhs},"])
+        return (each(f"x{{i}}_1 = {state}") + _float_stage(n, delay_exprs, _FLAT_NODES)
+                + [f"{slope.format(i=i)} = {r}" for i, r in zip(comps, rhs)])
 
-    close = " and ".join([f"abs(x{i}_1 - yt_{i}) <= {_SWEEP_TOL!r}" for i in comps]
-                         + [f"abs(mn_{i} - mt_{i}) <= {_SWEEP_TOL!r}" for i in comps])
+    close = " and ".join(each(f"abs(x{{i}}_1 - yt_{{i}}) <= {_SWEEP_TOL!r}")
+                         + each(f"abs(mn_{{i}} - mt_{{i}}) <= {_SWEEP_TOL!r}"))
     sweep = [
         "sweeps += 1",
         "used = False",
@@ -566,25 +602,27 @@ def _compile_rk4(n, delay_exprs, rhs_exprs):
         "t = t0 + h",
         *stage("y0_{i} + h * k3_{i}", "k4_{i}"),
         *stage("y0_{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})", "mn_{i}"),
-        f"y[-1] = [{_locals('x{i}_1', n)}]",
-        f"yp[-1] = [{_locals('mn_{i}', n)}]",
+        *each("y_{i}[-1] = x{i}_1"),
+        *each("yp_{i}[-1] = mn_{i}"),
         f"if not used or {close}:",
         "    break",
-        f"{_locals('yt_{i}', n)} {_locals('mt_{i}', n)} = "
-        f"{_locals('x{i}_1', n)} {_locals('mn_{i}', n)}",
+        *each("yt_{i} = x{i}_1"),
+        *each("mt_{i} = mn_{i}"),
     ]
     body = [
+        *_bind_params([*delay_exprs, *rhs_exprs]),
+        "tau_hi = tau_max + 1e-12",
+        f"{_locals('y_{i}', n)} = y",
+        f"{_locals('yp_{i}', n)} = yp",
         "sweeps = 0",
         "h2 = h / 2",
         "h6 = h / 6",
         "for k in range(nsteps):",
         "    t0 = k * h",
-        "    y0 = y[k]",
-        "    k1 = yp[k]",
-        "    y.append(y0)",
-        "    yp.append(k1)",
-        f"    {_locals('y0_{i}', n)} = {_locals('yt_{i}', n)} = y0",
-        f"    {_locals('k1_{i}', n)} = {_locals('mt_{i}', n)} = k1",
+        *each("    y0_{i} = yt_{i} = y_{i}[k]"),
+        *each("    k1_{i} = mt_{i} = yp_{i}[k]"),
+        *each("    y_{i}.append(y0_{i})"),
+        *each("    yp_{i}.append(k1_{i})"),
         f"    for _ in range({_SWEEP_LIMIT}):",
         *(f"        {line}" for line in sweep),
         "    else:",
@@ -731,9 +769,10 @@ class Model:
     def rk4_steps(self, P, hist, tau_max, h, nsteps, y, yp):
         """Append nsteps fixed RK4 steps of size h to the nodes y and slopes yp; the sweeps.
 
-        P is the parameter vector as floats, y and yp hold node 0 and its
-        slope as lists of n floats; see _compile_rk4. The loop is compiled on
-        first use.
+        P is the parameter vector as floats; y and yp are n flat lists of
+        floats each, one per component, that start with node 0 and its slope
+        (see _compile_rk4 for why the layout is per component). The loop is
+        compiled on first use.
         """
         if self._rk4 is None:
             self._rk4 = _compile_rk4(self.n, self.delay_exprs, self.rhs_exprs)

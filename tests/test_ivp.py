@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 
@@ -131,6 +132,31 @@ class TestSimulate:
             traj = simulate(poscontrol_model, params, hist, t_end=20.0, step=step)
         data = traj.y.astype("<f8").tobytes() + traj.yp.astype("<f8").tobytes()
         assert hashlib.sha256(data).hexdigest() == GOLDEN[key]
+
+    def test_dense_state_is_not_tracked_by_the_gc(self, scalar_model):
+        # the nodes and slopes grow as one flat float list per component, and
+        # floats are not GC-tracked: 10,000 steps at the interpreter's default
+        # thresholds trigger at most one collection, where a new list per node
+        # and slope triggered 26 gen-0 and 2 gen-1 collections
+        p = -math.pi / 2 - 0.05
+        hist = lambda th: np.array([p + 0.01 * (1.0 + th * (2.0 + th))])  # noqa: E731
+        simulate(scalar_model, [p], hist, t_end=0.2, step=0.02)  # the kernel compiles here
+        thresholds, enabled = gc.get_threshold(), gc.isenabled()
+        gc.set_threshold(700, 10, 10)
+        gc.enable()
+        try:
+            gc.collect()
+            before = sum(stats["collections"] for stats in gc.get_stats())
+            traj = simulate(scalar_model, [p], hist, t_end=200.0, step=0.02)
+            collections = sum(stats["collections"] for stats in gc.get_stats()) - before
+        finally:
+            gc.set_threshold(*thresholds)
+            if not enabled:
+                gc.disable()
+        assert len(traj.t) == 10_001
+        assert collections <= 1
+        assert traj.y.flags.c_contiguous and traj.yp.flags.c_contiguous
+        assert traj.y.shape == traj.yp.shape == (10_001, 1)
 
     def test_equilibrium_invariance(self, scalar_model):
         traj = simulate(scalar_model, [-PI_2], np.array([-PI_2]), t_end=5.0, step=0.01)
@@ -309,6 +335,28 @@ class TestRk4Kernel:
 
         def hist(theta):
             return [c[0] + c[1] * theta * theta, c[2] - c[3] * theta]
+
+        ours = _run_outcome(lambda: _kernel(model, P, hist, h, nsteps))
+        theirs = _run_outcome(lambda: _reference_steps(model, P, hist, 1.0, h, nsteps))
+        assert ours == theirs
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @given(data=st.data(), P=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+           h=st.sampled_from([0.3, 1.0, 0.05, 1.7, 0.004]), nsteps=st.integers(1, 6))
+    @settings(max_examples=100)
+    def test_matches_reference_loop_in_other_dims(self, n, data, P, h, nsteps):
+        # the kernel unrolls each stage per component: the loop above in one and
+        # in three components, the history c[2i] + c[2i+1] theta^2 for even i
+        # and c[2i] - c[2i+1] theta for odd i
+        delays = [Num(0.0), _in_unit_range(data.draw(tree_st(1, n))),
+                  _in_unit_range(data.draw(tree_st(2, n)))]
+        rhs = [data.draw(tree_st(3, n)) for _ in range(n)]
+        c = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n))
+        model = Model("oracle", n, ("p", "beta"), delays, rhs, tau_max=1.0)
+
+        def hist(theta):
+            return [c[2 * i] + c[2 * i + 1] * theta * theta if i % 2 == 0
+                    else c[2 * i] - c[2 * i + 1] * theta for i in range(n)]
 
         ours = _run_outcome(lambda: _kernel(model, P, hist, h, nsteps))
         theirs = _run_outcome(lambda: _reference_steps(model, P, hist, 1.0, h, nsteps))

@@ -479,12 +479,12 @@ def _outcome(evaluate, raw=False):
         return "NumericalError", str(err)
 
 
-def tree_st(slots):
-    """Expressions over parameters p, beta and x1, x2 at slots 1..slots."""
+def tree_st(slots, comps=2):
+    """Expressions over parameters p, beta and x1..x<comps> at slots 1..slots."""
     leaves = st.one_of(
         st.floats(0.0, 10.0, allow_nan=False).map(Num),
         st.sampled_from([Param("p", 0), Param("beta", 1)]),
-        st.builds(State, st.integers(1, 2), st.integers(1, slots)),
+        st.builds(State, st.integers(1, comps), st.integers(1, slots)),
     )
     return st.recursive(
         leaves,
