@@ -8,8 +8,8 @@ and prints one ``workload seed op sha256`` line per operation (workload
 ``readme``, seed ``-`` for the fixed README runs); the digest covers the
 exit code, stdout and stderr. Then it prints one ``compiled model function
 sha256`` line per function generated for each bundled model: f, the delays,
-the float and the complex-node functional, the slot derivatives of orders
-1 and 2, and the RK4 stepping loop of ``simulate``; that digest covers the
+the complex-node functional, the slot derivatives of orders 1 and 2, and the
+RK4 loop of ``simulate`` and ``eval_functional``; that digest covers the
 argument list and body lines the model compiles. Running it in two
 checkouts and diffing the outputs shows whether their CLI output and their
 generated code are byte-identical.
@@ -27,7 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import sddde.model  # noqa: E402
 import workloads  # noqa: E402
-from sddde import NumericalError  # noqa: E402
+from sddde import NumericalError, SdddeError  # noqa: E402
 
 WORKLOADS = ("hopf_curve_l1", "continuation")
 
@@ -61,8 +61,8 @@ README_RUNS = {
 
 
 # the functions a model generates, in the order a load, frozen_derivatives of
-# orders 1 and 2 and rk4_steps compile them
-COMPILED = ("f", "delays", "functional", "functional_nodes", "derivs1", "derivs2", "rk4")
+# orders 1 and 2 and eval_functional compile them
+COMPILED = ("f", "delays", "functional_nodes", "derivs1", "derivs2", "rk4")
 
 
 def digest(res):
@@ -85,8 +85,10 @@ def compiled_digests(path):
                 model.frozen_derivatives([1.0] * model.n_p, [1.0] * model.n, order)
             except NumericalError:
                 pass
-        empty = [[]] * model.n  # no steps: an empty node list for each component
-        model.rk4_steps([1.0] * model.n_p, None, 1.0, 1.0, 0, empty, empty)
+        try:  # compiles the RK4 loop on first use, whatever the values give
+            model.eval_functional([1.0] * model.n_p, [1.0] * model.n, tau_max=1.0)
+        except SdddeError:
+            pass
     finally:
         sddde.model._compile = compile_
     assert len(sources) == len(COMPILED), f"{path.name}: {len(sources)} generated functions"

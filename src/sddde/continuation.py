@@ -504,19 +504,13 @@ def _hopf_system(model, pvec_base, free, c_row, lin=None):
     return residual, jacobian, state
 
 
-def start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
+def _start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
     """Solve the extended Hopf system with the second free parameter fixed.
 
-    Returns (y, c_row) where y stacks [x, Re q, Im q, omega, p1, p2].
-    """
-    return _start_hopf_curve(model, assignments, free_names, x_guess, omega_guess)[:2]
-
-
-def _start_hopf_curve(model, assignments, free_names, x_guess, omega_guess):
-    """(y, c_row, system) of start_hopf_curve, system the _hopf_system it solved, at y last.
-
-    The linearization at the guess, taken for the null vectors, starts the
-    system, so the first Newton iterate (the same x and p) reuses it.
+    Returns (y, c_row, system) where y stacks [x, Re q, Im q, omega, p1, p2]
+    and system is the _hopf_system it solved, at y last. The linearization
+    at the guess, taken for the null vectors, starts the system, so the
+    first Newton iterate (the same x and p) reuses it.
     """
     f1, f2 = _free_indices(model, free_names)
     pvec = model.params_from(assignments)

@@ -2,16 +2,16 @@
 
 Fixed-step classical RK4 on Python floats (Bellen & Zennaro, *Numerical
 Methods for Delay Differential Equations*, OUP 2003). :func:`simulate`
-validates its inputs, takes the first slope from the model's compiled float
-functional, and hands the stepping to the loop the model compiles on the
-first run (``Model.rk4_steps``): every step, sweep and stage is straight-line
+validates its inputs and hands the run to the loop the model compiles on the
+first run (``Model.rk4_steps``), its one float evaluator of the functional:
+the first slope, and every step, sweep and stage after it, is straight-line
 code on scalar locals that reads the dense state itself, the initial history
 for times up to 0, and the tentative next node of the current step. The dense
 state is one flat list of floats per component for the node values and one
 for the slopes; a step appends and replaces floats, so the loop allocates no
 object the cyclic garbage collector has to track and scan again, and the
 lists become the C-contiguous arrays of :class:`Trajectory` once, at the
-end. Both read delayed values by the cubic Hermite formula of
+end. The loop reads delayed values by the cubic Hermite formula of
 :func:`_hermite`, which also serves :class:`Trajectory`. When an evaluated
 delay is shorter than the step the stage values are resolved by a small
 number of fixed-point sweeps over the tentative node.
@@ -93,14 +93,6 @@ def simulate(model, params, history, t_end, step):
         raise SdddeError(f"t_end={t_end:g} is not a whole number of steps of {step:g}")
     P = _floats(params, (model.n_p,), "parameter vector")
 
-    # at t = 0 with no completed steps every theta != 0 reads hist
-    m0 = model._functional(P, hist, tau_max, x0, 0.0, step, 0, (), ())[0]
-    y, yp = [[v] for v in x0], [[v] for v in m0]  # one list of floats per component
-    sweeps = model.rk4_steps(P, hist, tau_max, step, nsteps, y, yp)
-    return Trajectory(t=np.arange(nsteps + 1) * step, y=_nodes(y), yp=_nodes(yp),
-                      history=hist, step=step, evals=1 + 4 * sweeps)
-
-
-def _nodes(columns):
-    """n per-component lists of N + 1 floats as a C-contiguous (N + 1, n) array."""
-    return np.array(columns, dtype=float).T.copy()
+    y, yp, sweeps = model.rk4_steps(P, hist, tau_max, step, nsteps, x0)
+    return Trajectory(t=np.arange(nsteps + 1) * step, y=y, yp=yp, history=hist, step=step,
+                      evals=1 + 4 * sweeps)

@@ -497,10 +497,6 @@ else:
         d = (s3 - s2) * h"""
 # parameter k of the float code, bound once per call by _bind_params
 _PARAM_LOCAL = "p{}"
-# how a float stage reads component i (c = i - 1) of node row of the values (v = "y") or the
-# slopes (v = "yp"): from lists of n floats per node, or from one flat list per component
-_ROW_NODES = "{v}[{row}][{c}]"
-_FLAT_NODES = "{v}_{i}[{row}]"
 
 
 def _locals(name, n):
@@ -517,69 +513,59 @@ def _bind_params(exprs):
             for k in sorted({e.index for e in order if isinstance(e, Param)})]
 
 
-def _float_stage(n, delay_exprs, nodes):
+def _float_stage(n, delay_exprs):
     """Body lines reading slots 2..m of one float stage at time t, slot 1 in x<i>_1.
 
     Delays are checked left to right, clamped into [0, tau_max], and slot j
     is read at theta = -tau_j: slot 1 at theta == 0, hist(t + theta) as n
-    floats up to time 0, else the cubic Hermite over nodes y and slopes yp
-    at times i*h, each read as nodes (_ROW_NODES or _FLAT_NODES) gives.
-    Nodes i <= k are completed; node k + 1 is the tentative next node, read
-    with s capped at 1, and reading it sets used. The caller binds tau_hi
-    and the parameters (_bind_params).
+    floats up to time 0, else the cubic Hermite over the nodes y_<i> and
+    slopes yp_<i> of component i, flat lists over the times i*h. Nodes
+    i <= k are completed; node k + 1 is the tentative next node, read with
+    s capped at 1, and reading it sets used. The caller binds tau_hi and
+    the parameters (_bind_params).
     """
     body = []
     for j, e in enumerate(delay_exprs[1:], start=2):
         body += _DENSE_READ.format(j=j, tau=_emit(e, params=_PARAM_LOCAL), n=n,
                                    xs=_locals(f"x{{i}}_{j}", n),
                                    x1=_locals("x{i}_1", n)).splitlines()
-        for i in range(1, n + 1):
-            y0, m0, y1, m1 = (nodes.format(v=v, row=row, i=i, c=i - 1)
-                              for row in ("i", "i + 1") for v in ("y", "yp"))
-            body.append(f"        x{i}_{j} = a * {y0} + b * {m0} + c * {y1} + d * {m1}")
+        body += [f"        x{i}_{j} = a * y_{i}[i] + b * yp_{i}[i] + c * y_{i}[i + 1] "
+                 f"+ d * yp_{i}[i + 1]" for i in range(1, n + 1)]
     return body
 
 
-def _compile_functional(n, delay_exprs, rhs_exprs, nodes=False):
-    """F(u) as straight-line code: delays left to right, each checked.
+def _compile_on_nodes(n, delay_exprs, rhs_exprs):
+    """F(u) as straight-line numpy code on arrays of complex node values, delays left to right.
 
-    On floats, f(P, hist, tau_max, x0, t, h, k, y, yp) -> (F, used) is the
-    _float_stage at time t of the IVP with slot 1 at x0, over nodes y and
-    slopes yp as lists of n floats. With nodes=True, f(P, hist, tau_max,
-    x0) runs numpy on arrays of complex node values.
+    f(P, hist, tau_max, x0) reads slot 1 at x0 and slot j at hist(-tau_j),
+    each delay checked on its real part by _complex_delay.
     """
-    funcs, params = (_NUMPY_FUNCS, "P[{}]") if nodes else (_MATH_FUNCS, _PARAM_LOCAL)
-    rhs = ", ".join(_emit(e, funcs, params=params) for e in rhs_exprs)
     body = [f"{_locals('x{i}_1', n)} = x0"]
-    if nodes:
-        body += [f"{_locals(f'x{{i}}_{j}', n)} = hist(-_complex_delay({j}, {_emit(e, funcs)}, "
-                 f"tau_max))" for j, e in enumerate(delay_exprs[1:], start=2)]
-        return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
-    body = [*_bind_params([*delay_exprs, *rhs_exprs]), "tau_hi = tau_max + 1e-12", *body,
-            "used = False", *_float_stage(n, delay_exprs, _ROW_NODES), f"return [{rhs}], used"]
-    return _compile("P, hist, tau_max, x0, t, h, k, y, yp", body)
+    body += [f"{_locals(f'x{{i}}_{j}', n)} = hist(-_complex_delay({j}, {_emit(e, _NUMPY_FUNCS)}, "
+             f"tau_max))" for j, e in enumerate(delay_exprs[1:], start=2)]
+    rhs = ", ".join(_emit(e, _NUMPY_FUNCS) for e in rhs_exprs)
+    return _compile("P, hist, tau_max, x0", body + [f"return [{rhs}]"])
 
 
 def _compile_rk4(n, delay_exprs, rhs_exprs):
     """The fixed-step RK4 loop of ivp.simulate as one function of straight-line stages.
 
-    f(P, hist, tau_max, h, nsteps, y, yp) -> sweeps: y and yp are n lists
-    each, one per component, holding the values y_i and slopes yp_i of the
-    nodes, node 0 first; the loop appends nodes 1..nsteps to them. One flat
-    list of floats per component keeps the dense state free of per-step
-    objects: a step appends and replaces floats, which the cyclic garbage
-    collector does not track, where a list per node would be tracked,
-    promoted and scanned again at every collection. tau_max + 1e-12 and
-    the parameters are bound to locals once per call.
+    f(P, hist, tau_max, h, nsteps, x0) -> (y, yp, sweeps): y and yp are n
+    lists each, one per component, holding the values y_i and slopes yp_i
+    of nodes 0..nsteps; node 0 is x0, and its slope is a stage at t = 0,
+    where every theta != 0 reads hist. One flat list of floats per
+    component keeps the dense state free of per-step objects: a step
+    appends and replaces floats, which the cyclic garbage collector does
+    not track, where a list per node would be tracked, promoted and
+    scanned again at every collection. tau_max + 1e-12 and the parameters
+    are bound to locals once per call.
 
     Step k appends node k again as the tentative node k + 1, then sweeps:
     the four stages and the end slope, each a _float_stage with its state in
     x<i>_1 and its slope in scalar locals, then the new tentative node and
     slope replace the old. A sweep that read no tentative node, or moved
     none of its values by more than _SWEEP_TOL, ends the step; _SWEEP_LIMIT
-    sweeps that do not is a ConvergenceError. The arithmetic is that of the
-    list loop over _compile_functional that this replaced, operation for
-    operation, so the bits are the same.
+    sweeps that do not is a ConvergenceError.
     """
     comps = range(1, n + 1)
     rhs = [_emit(e, params=_PARAM_LOCAL) for e in rhs_exprs]
@@ -588,7 +574,7 @@ def _compile_rk4(n, delay_exprs, rhs_exprs):
         return [line.format(i=i) for i in comps]
 
     def stage(state, slope):  # the state of component i is state.format(i=i)
-        return (each(f"x{{i}}_1 = {state}") + _float_stage(n, delay_exprs, _FLAT_NODES)
+        return (each(f"x{{i}}_1 = {state}") + _float_stage(n, delay_exprs)
                 + [f"{slope.format(i=i)} = {r}" for i, r in zip(comps, rhs)])
 
     close = " and ".join(each(f"abs(x{{i}}_1 - yt_{{i}}) <= {_SWEEP_TOL!r}")
@@ -612,8 +598,11 @@ def _compile_rk4(n, delay_exprs, rhs_exprs):
     body = [
         *_bind_params([*delay_exprs, *rhs_exprs]),
         "tau_hi = tau_max + 1e-12",
-        f"{_locals('y_{i}', n)} = y",
-        f"{_locals('yp_{i}', n)} = yp",
+        f"{_locals('y_{i}', n)} = ([v] for v in x0)",
+        *each("yp_{i} = []"),
+        "t = 0.0",
+        *stage("y_{i}[0]", "k1_{i}"),
+        *each("yp_{i}.append(k1_{i})"),
         "sweeps = 0",
         "h2 = h / 2",
         "h6 = h / 6",
@@ -628,9 +617,9 @@ def _compile_rk4(n, delay_exprs, rhs_exprs):
         "    else:",
         "        raise ConvergenceError(",
         "            f'fixed-point sweeps for short delays did not settle at t={t0 + h:.6g}')",
-        "return sweeps",
+        f"return [{_locals('y_{i}', n)}], [{_locals('yp_{i}', n)}], sweeps",
     ]
-    return _compile("P, hist, tau_max, h, nsteps, y, yp", body)
+    return _compile("P, hist, tau_max, h, nsteps, x0", body)
 
 
 def _checked_delay(j, tau, tau_max):
@@ -711,10 +700,9 @@ class Model:
         self._rhs = _compile_frozen(*_frozen_source([((n,), self.rhs_exprs.__getitem__)]))
         self._taus = _compile_frozen(*_frozen_source(
             [((self.m - 1,), lambda j: self.delay_exprs[j + 1])]))
-        self._functional = _compile_functional(n, delay_exprs, rhs_exprs)
-        self._on_nodes = _compile_functional(n, delay_exprs, rhs_exprs, nodes=True)
+        self._on_nodes = _compile_on_nodes(n, delay_exprs, rhs_exprs)
         self._derivs = {}  # evaluators of frozen_derivatives by order
-        self._rk4 = None  # the stepping loop of ivp.simulate, compiled on first use
+        self._rk4 = None  # the RK4 loop of simulate and eval_functional, compiled on first use
 
     # -- raw coefficient evaluation ------------------------------------
 
@@ -738,9 +726,8 @@ class Model:
         x0 = history_floats(hist(0.0), self.n)
         if tau_max is None:
             tau_max = self.resolve_tau_max(P, x0)
-        # at t = 0 with no completed steps every theta != 0 reads hist
-        values, _ = self._functional(P, hist, tau_max, x0, 0.0, 1.0, 0, (), ())
-        return np.array(values, dtype=float)
+        _, yp, _ = self.rk4_steps(P, hist, tau_max, 1.0, 0, x0)  # no steps: the slope of node 0
+        return yp[0]
 
     def eval_on_nodes(self, params, xstar, v, deltas, tau_max):
         """F(x* + delta v), continued to complex delta, at all nodes at once.
@@ -766,17 +753,18 @@ class Model:
         out = np.array([np.broadcast_to(value, deltas.shape) for value in values], dtype=complex)
         return out if stacked else out[:, 0]
 
-    def rk4_steps(self, P, hist, tau_max, h, nsteps, y, yp):
-        """Append nsteps fixed RK4 steps of size h to the nodes y and slopes yp; the sweeps.
+    def rk4_steps(self, P, hist, tau_max, h, nsteps, x0):
+        """(y, yp, sweeps) of nsteps fixed RK4 steps of size h from the node x0 at t = 0.
 
-        P is the parameter vector as floats; y and yp are n flat lists of
-        floats each, one per component, that start with node 0 and its slope
-        (see _compile_rk4 for why the layout is per component). The loop is
-        compiled on first use.
+        P is the parameter vector and x0 the state at t = 0, both as floats.
+        y and yp are the values and slopes of nodes 0..nsteps as C-contiguous
+        (nsteps + 1, n) arrays. The loop is compiled on first use, and holds
+        them as one flat list per component (see _compile_rk4 for why).
         """
         if self._rk4 is None:
             self._rk4 = _compile_rk4(self.n, self.delay_exprs, self.rhs_exprs)
-        return self._rk4(P, hist, tau_max, h, nsteps, y, yp)
+        y, yp, sweeps = self._rk4(P, hist, tau_max, h, nsteps, x0)
+        return np.array(y, dtype=float).T.copy(), np.array(yp, dtype=float).T.copy(), sweeps
 
     def _frozen(self, x):  # slot matrix with every slot at the state x
         return [[v] * self.m for v in _floats(x, (self.n,), "state vector")]

@@ -20,7 +20,7 @@ from sddde import (
     parse_model,
     solve_equilibrium,
 )
-from sddde.continuation import _hopf_system, _with_param, start_hopf_curve
+from sddde.continuation import _hopf_system, _start_hopf_curve, _with_param
 from sddde.spectral import char_matrix, char_matrix_deriv, hopf_pair, linearize, refine_root
 
 PI_2 = np.pi / 2
@@ -417,8 +417,8 @@ class TestHopfState:
 
     @pytest.fixture(scope="class")
     def start(self, poscontrol_model, poscontrol_ref):
-        y0, c_row = start_hopf_curve(poscontrol_model, poscontrol_ref, ("tau0", "s0"),
-                                     [4.0, 4.0], np.pi / 6)
+        y0, c_row, _ = _start_hopf_curve(poscontrol_model, poscontrol_ref, ("tau0", "s0"),
+                                         [4.0, 4.0], np.pi / 6)
         return y0, c_row, poscontrol_model.params_from(poscontrol_ref)
 
     def test_system_is_the_fresh_system(self, poscontrol_model, start):

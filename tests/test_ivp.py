@@ -22,7 +22,7 @@ from sddde import (
 )
 from sddde.model import Model, Num, _checked_delay
 
-from test_model import _in_unit_range, tree_st
+from test_model import _dense_history, _in_unit_range, _interpret, tree_st
 
 PI_2 = np.pi / 2
 
@@ -67,13 +67,25 @@ def char_history():
 
 
 def _reference_steps(model, P, hist, tau_max, h, nsteps):
-    """(y, yp, evals) by the stage-by-stage list loop over model._functional that the
-    compiled RK4 kernel replaced, as simulate ran it after its validation."""
-    F = model._functional
+    """(y, yp, evals) of simulate's steps and sweeps after its validation, by a
+    stage-by-stage list loop over the tree-walking interpreter."""
+    def F(x0, t, k, y, yp):
+        # the functional of the stage at time t in step k, and whether it read node k + 1
+        used, X = [], {}
+        u = _dense_history(hist, x0, t, h, k, y, yp, used)
+        try:
+            for j, delay in enumerate(model.delay_exprs, start=1):
+                theta = 0.0 if j == 1 else -_checked_delay(j, _interpret(delay, P, X), tau_max)
+                for i, value in enumerate(u(theta), start=1):
+                    X[i, j] = value
+            return [_interpret(e, P, X) for e in model.rhs_exprs], bool(used)
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            raise NumericalError(f"numerical failure: {err}") from err
+
     x0 = hist(0.0)
     y, yp = [x0], []   # node values and slopes; during step k, y[k + 1] is tentative
     sweeps = 0
-    yp.append(F(P, hist, tau_max, x0, 0.0, h, 0, y, yp)[0])
+    yp.append(F(x0, 0.0, 0, y, yp)[0])
     for k in range(nsteps):
         t0 = k * h
         y0, k1 = y[k], yp[k]
@@ -81,15 +93,12 @@ def _reference_steps(model, P, hist, tau_max, h, nsteps):
         yp.append(k1)
         for _ in range(5):
             sweeps += 1
-            k2, used2 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k1)],
-                          t0 + h / 2, h, k, y, yp)
-            k3, used3 = F(P, hist, tau_max, [a + (h / 2) * b for a, b in zip(y0, k2)],
-                          t0 + h / 2, h, k, y, yp)
-            k4, used4 = F(P, hist, tau_max, [a + h * b for a, b in zip(y0, k3)],
-                          t0 + h, h, k, y, yp)
+            k2, used2 = F([a + (h / 2) * b for a, b in zip(y0, k1)], t0 + h / 2, k, y, yp)
+            k3, used3 = F([a + (h / 2) * b for a, b in zip(y0, k2)], t0 + h / 2, k, y, yp)
+            k4, used4 = F([a + h * b for a, b in zip(y0, k3)], t0 + h, k, y, yp)
             y_new = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
                      for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-            m_new, used5 = F(P, hist, tau_max, y_new, t0 + h, h, k, y, yp)
+            m_new, used5 = F(y_new, t0 + h, k, y, yp)
             settled = not (used2 or used3 or used4 or used5) or all(  # a NaN never settles
                 abs(a - b) <= 1e-12 for a, b in zip(y_new + m_new, y[-1] + yp[-1])
             )
@@ -314,7 +323,7 @@ class TestSimulate:
 
 
 class TestRk4Kernel:
-    """The compiled stepping loop against the list loop over the functional that it replaced."""
+    """The compiled stepping loop against a list loop over the tree-walking interpreter."""
 
     @given(
         d2=tree_st(1),
@@ -402,11 +411,16 @@ class TestRk4Kernel:
         assert ours.y.tobytes() == theirs.y.tobytes() and ours.yp.tobytes() == theirs.yp.tobytes()
         assert np.array_equal(model.frozen_delays([p], [-1.0]), [0.0, clamped])
 
-    def test_one_functional_call_per_run(self):
-        # the first slope; every stage after it runs inside the kernel
-        model = parse_model(SHORT_DELAY_SRC)
-        calls, functional = [], model._functional
-        model._functional = lambda *args: calls.append(args) or functional(*args)
-        traj = simulate(model, [], np.array([1.0]), t_end=1.0, step=0.01)
+    def test_one_kernel_call_per_run(self, monkeypatch):
+        # the first slope and every stage after it run inside one rk4_steps call
+        calls = []
+
+        def counted(name):
+            method = getattr(Model, name)
+            return lambda *args: calls.append(name) or method(*args)
+
+        for name in ("rk4_steps", "eval_functional", "eval_on_nodes"):
+            monkeypatch.setattr(Model, name, counted(name))
+        traj = simulate(parse_model(SHORT_DELAY_SRC), [], np.array([1.0]), t_end=1.0, step=0.01)
         assert traj.evals > 4 * 100 + 1
-        assert len(calls) == 1
+        assert calls == ["rk4_steps"]

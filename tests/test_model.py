@@ -22,7 +22,7 @@ from sddde import (
 )
 from sddde.ivp import _hermite, _interpolate
 from sddde.model import (FUNCTIONS, MAX_NESTING, Bin, Call, Model, Neg, Num, Param, Pow, State,
-                         _children, _emit, _frozen_source)
+                         _children, _compile, _emit, _frozen_source)
 from sddde.symbolic import slot_derivative_blocks
 
 from conftest import NESTING_LEVELS, nested_model
@@ -45,6 +45,26 @@ class TestParseModel:
         m = parse_model(SCALAR_SRC)
         assert (m.n, m.m, m.n_p) == (1, 2, 1)
         assert m.declared_tau_max == 10.0
+
+    @pytest.mark.parametrize("first_use", ["eval_functional", "simulate"])
+    def test_load_compiles_three_functions_and_the_kernel_on_first_use(self, monkeypatch,
+                                                                      first_use):
+        # f, the delays and the complex-node functional at load; the RK4 kernel,
+        # the one float evaluator of the functional, once, on its first use
+        calls = []
+        monkeypatch.setattr("sddde.model._compile",
+                            lambda args, body: calls.append(args) or _compile(args, body))
+        m = parse_model(SCALAR_SRC)
+        assert len(calls) == 3
+        uses = {
+            "eval_functional": lambda: m.eval_functional([-PI_2], np.array([-PI_2])),
+            "simulate": lambda: simulate(m, [-PI_2], np.array([-PI_2]), t_end=0.2, step=0.1),
+        }
+        uses[first_use]()
+        assert len(calls) == 4
+        for use in uses.values():
+            use()
+        assert len(calls) == 4
 
     def test_position_control(self, poscontrol_model):
         m = poscontrol_model
@@ -529,46 +549,6 @@ class TestCompiledFunctional:
         ours = _outcome(lambda: model.equilibrium_residual(P, x0))
         theirs = _outcome(lambda: [_interpret(e, P, frozen) for e in (r1, r2)], raw=True)
         assert ours == theirs
-
-    @given(
-        d2=tree_st(1),
-        d3=tree_st(2),
-        r1=tree_st(3),
-        r2=tree_st(3),
-        P=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
-        c=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
-        k=st.integers(0, 4),
-        h=st.sampled_from([0.1, 0.3, 1.0]),
-        frac=st.floats(0.0, 2.0),
-        nodes=st.lists(st.floats(-2.0, 2.0), min_size=24, max_size=24),
-    )
-    @settings(max_examples=200)
-    def test_dense_mode_matches_tree_walking_interpreter(
-        self, d2, d3, r1, r2, P, c, k, h, frac, nodes
-    ):
-        # a stage at time t in step k of simulate: delays in (0, 1) read the
-        # initial history before 0, completed nodes, or the tentative node
-        # (for t beyond (k + 1) h, its Hermite parameter is capped at 1)
-        delays = [Num(0.0), _in_unit_range(d2), _in_unit_range(d3)]
-        model = Model("oracle", 2, ("p", "beta"), delays, [r1, r2], tau_max=1.0)
-
-        def hist(theta):
-            return [c[0] + c[1] * theta * theta, c[2] - c[3] * theta]
-
-        y = [nodes[2 * i:2 * i + 2] for i in range(k + 2)]
-        yp = [nodes[12 + 2 * i:12 + 2 * i + 2] for i in range(k + 2)]
-        t, x0 = (k + frac) * h, c[4:]
-
-        def kernel():
-            values, used = model._functional(P, hist, 1.0, x0, t, h, k, y, yp)
-            return values + [float(used)]
-
-        def interpreter():
-            used = []
-            values = _interpret_functional(model, P, _dense_history(hist, x0, t, h, k, y, yp, used))
-            return values + [float(bool(used))]
-
-        assert _outcome(kernel, raw=True) == _outcome(interpreter, raw=True)
 
 
 def _quadratic_cse(exprs):

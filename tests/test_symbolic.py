@@ -15,7 +15,7 @@ from sddde import (
     parse_model,
     symbolic,
 )
-from sddde.continuation import _branch_system, _hopf_system, start_hopf_curve
+from sddde.continuation import _branch_system, _hopf_system, _start_hopf_curve
 from sddde.model import MAX_NESTING, _walk
 
 from conftest import NESTING_LEVELS, model_path, nested_model, sympy_expr
@@ -185,7 +185,8 @@ def assert_close_to_differences(system, y):
 class TestNewtonJacobians:
     def test_hopf_system_off_the_curve(self, poscontrol_model, poscontrol_ref, all_rules_model):
         model = poscontrol_model
-        y0, c_row = start_hopf_curve(model, poscontrol_ref, ("tau0", "s0"), [4.0, 4.0], np.pi / 6)
+        y0, c_row, _ = _start_hopf_curve(model, poscontrol_ref, ("tau0", "s0"), [4.0, 4.0],
+                                         np.pi / 6)
         pvec = model.params_from(poscontrol_ref)
         rng = np.random.default_rng(3)
         system = _hopf_system(model, pvec, [0, 1], c_row)[:2]
